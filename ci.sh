@@ -46,8 +46,10 @@ for pkg in internal/checkpoint internal/stats internal/jobs internal/tsdb intern
 done
 
 # Sharded execution must agree with the sequential run: exact mode is
-# byte-identical (every boundary checkpoint-verified inside vrsim), and a
-# save/restore split run must reproduce the uninterrupted report exactly.
+# byte-identical (every boundary checkpoint-verified inside vrsim, and the
+# text report equal to the sequential one once the exact run's "sharded:"
+# header line is dropped), and a save/restore split run must reproduce the
+# uninterrupted report exactly.
 echo "== checkpoint/shard vs sequential smoke"
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
@@ -55,7 +57,14 @@ go run ./cmd/vrsim -preset pops -scale 0.01 -json > "$tmp/seq.json"
 go run ./cmd/vrsim -preset pops -scale 0.01 -checkpoint "$tmp/ck.bin" -checkpoint-at 2000 > /dev/null
 go run ./cmd/vrsim -preset pops -scale 0.01 -restore "$tmp/ck.bin" -json > "$tmp/restored.json"
 cmp "$tmp/seq.json" "$tmp/restored.json"
-go run ./cmd/vrsim -preset pops -scale 0.01 -shards 4 -shard-mode exact > /dev/null
+go build -o "$tmp/vrsim" ./cmd/vrsim
+for machine in "-preset pops -org vr" "-preset thor -org rr -victim 4" \
+    "-preset thor -org rrnoincl -victim 4" "-preset thor -org rlt -victim 4"; do
+    # $machine is deliberately unquoted: it holds several flags.
+    "$tmp/vrsim" $machine -scale 0.01 > "$tmp/seq.txt"
+    "$tmp/vrsim" $machine -scale 0.01 -shards 4 -shard-mode exact > "$tmp/exact.txt"
+    tail -n +2 "$tmp/exact.txt" | cmp - "$tmp/seq.txt"
+done
 
 # The cross-organization differential harness under the race detector, run
 # twice: every synonym strategy (v-pointer, reverse-lookup table, victim

@@ -12,9 +12,11 @@
 // together. Exact mode resumes each window from a checkpoint written by a
 // sequential prior pass and byte-compares every shard's end state against
 // the next checkpoint — as much a verification harness for Save/Restore as
-// a parallel runner. Approximate mode warms each shard with a prefix of
-// references instead, trading exactness for an embarrassingly parallel run
-// whose hit ratios match the sequential ones within a stated tolerance.
+// a parallel runner. Approximate mode runs each shard as one RunWindow on a
+// fresh machine — the skipped prefix only walks the MMU, a prefix of
+// references warms the caches — trading exactness for an embarrassingly
+// parallel run whose hit ratios match the sequential ones within a stated
+// tolerance.
 package checkpoint
 
 import (

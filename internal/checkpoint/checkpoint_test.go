@@ -186,6 +186,62 @@ func TestSaveRestoreWithTimingAndOracle(t *testing.T) {
 	}
 }
 
+// TestRestoreLeavesCheckpointIntact: a restored machine must own its state.
+// Running it on may not change the checkpoint it came from, which exact
+// sharding still encodes on another goroutine while the next shard runs.
+func TestRestoreLeavesCheckpointIntact(t *testing.T) {
+	tc := testWorkload(t, "pops", 0.005, 2)
+	victim := testMachine(system.VR, 2)
+	victim.VictimEntries = 4
+	timed := testMachine(system.VR, 2)
+	timed.Cycles = cycles.MustNew(cycles.ContentionParams(), nil)
+	for name, cfg := range map[string]system.Config{
+		"vr":        testMachine(system.VR, 2),
+		"rr":        testMachine(system.RRInclusion, 2),
+		"rrnoincl":  testMachine(system.RRNoInclusion, 2),
+		"rlt":       testMachine(system.VRRLT, 2),
+		"vr+victim": victim,
+		"vr+timed":  timed,
+	} {
+		t.Run(name, func(t *testing.T) {
+			// Each machine gets its own cycle engine, as in a real run.
+			mk := func() *system.System {
+				c := cfg
+				if c.Cycles != nil {
+					c.Cycles = cycles.MustNew(cycles.ContentionParams(), nil)
+				}
+				return build(t, c, tc)
+			}
+			sig := signature(cfg, tc)
+			first := mk()
+			r := &countingReader{r: tracegen.MustNew(tc)}
+			if _, err := first.RunRecords(r, uint64(tc.TotalRefs)/2); err != nil {
+				t.Fatal(err)
+			}
+			ck, err := Capture(first, sig, r.n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := ck.Encode()
+
+			second := mk()
+			if err := Restore(second, ck, sig); err != nil {
+				t.Fatal(err)
+			}
+			rr, err := ResumeReader(func() (trace.Reader, error) { return tracegen.MustNew(tc), nil }, ck)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := second.RunRecords(rr, 5000); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(ck.Encode(), want) {
+				t.Error("running the restored machine changed the checkpoint it was restored from")
+			}
+		})
+	}
+}
+
 // TestRestoreRejectsMismatches exercises the validation paths a wrong
 // resume must hit instead of corrupting a simulation.
 func TestRestoreRejectsMismatches(t *testing.T) {

@@ -2,9 +2,7 @@ package checkpoint
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
-	"io"
 
 	"repro/internal/sweep"
 	"repro/internal/system"
@@ -14,7 +12,8 @@ import (
 // ShardOptions configures a time-sharded run. The trace must be
 // deterministic and regenerable from scratch (Source is called once per
 // shard plus once for any prior pass), and the systems NewSystem builds
-// must be cold, identically configured, and free of the features a
+// must be cold, identically configured, each given its own cycle engine
+// when timed (shards run concurrently), and free of the features a
 // checkpoint refuses (probe, periodic auditor) and of the consistency
 // oracle — a shard that skips the trace prefix cannot know the tokens
 // earlier writes left behind.
@@ -34,8 +33,8 @@ type ShardOptions struct {
 	// machine at every boundary, each shard resumes from its checkpoint,
 	// and every shard's end state is byte-compared against the next
 	// boundary's checkpoint — the differential verification of the
-	// checkpoint layer. Approximate mode (the default) skips the prefix,
-	// warms up, and measures only its own window.
+	// checkpoint layer. Approximate mode (the default) runs each shard as
+	// one RunWindow: skip the prefix, warm up, measure only its own window.
 	Exact bool
 	// Signature identifies the configuration+workload (checkpoint
 	// provenance).
@@ -92,46 +91,9 @@ func ShardedRun(opts ShardOptions) (*system.System, *ShardOutcome, error) {
 	return approxRun(opts)
 }
 
-// skipTranslating discards n memory references from r while still walking
-// every reference through sys's MMU. Demand paging assigns frames in
-// first-touch order, so translating the skipped prefix gives the shard the
-// exact page tables the sequential run had at this point — frame layout,
-// and with it physical cache indexing, does not diverge. Costs a map
-// lookup per reference instead of a full simulation step.
-func skipTranslating(sys *system.System, r trace.Reader, n uint64) (uint64, error) {
-	mmu := sys.MMU()
-	buf := make([]trace.Ref, 4096)
-	var done uint64
-	for done < n {
-		// Never request more records than references still owed: a batch
-		// can then only reach the nth reference as its final record, so the
-		// reader is left positioned exactly where a record-at-a-time skip
-		// would leave it.
-		want := n - done
-		if want > uint64(len(buf)) {
-			want = uint64(len(buf))
-		}
-		got, err := trace.FillBatch(r, buf[:want])
-		for _, ref := range buf[:got] {
-			if ref.Kind == trace.CtxSwitch {
-				continue
-			}
-			mmu.Translate(ref.PID, ref.Addr)
-			done++
-		}
-		if errors.Is(err, io.EOF) {
-			return done, nil
-		}
-		if err != nil {
-			return done, err
-		}
-	}
-	return done, nil
-}
-
-// approxRun is the embarrassingly parallel mode: each shard rebuilds its
-// warm state by simulating a Warmup-reference prefix, measures its own
-// window, and the windows' statistics are merged.
+// approxRun is the embarrassingly parallel mode: each shard is one
+// RunWindow on a fresh machine over its own regenerated trace, and the
+// windows' statistics are merged.
 func approxRun(opts ShardOptions) (*system.System, *ShardOutcome, error) {
 	bounds := opts.boundaries()
 	systems := make([]*system.System, opts.Shards)
@@ -144,32 +106,8 @@ func approxRun(opts ShardOptions) (*system.System, *ShardOutcome, error) {
 		if err != nil {
 			return err
 		}
-		start, end := bounds[k], bounds[k+1]
-		warm := opts.Warmup
-		if warm > start {
-			warm = start
-		}
-		if n, err := skipTranslating(sys, r, start-warm); err != nil {
-			return err
-		} else if n != start-warm {
-			return fmt.Errorf("trace ended %d references into a %d-reference skip", n, start-warm)
-		}
-		if n, err := sys.RunRefs(r, warm); err != nil {
-			return err
-		} else if n != warm {
-			return fmt.Errorf("trace ended %d references into a %d-reference warm-up", n, warm)
-		}
-		// Only the window is measured; the warm-up (and the skipped MMU
-		// walk's translation counters) are scaffolding.
-		sys.ResetStats()
-		if n, err := sys.RunRefs(r, end-start); err != nil {
-			return err
-		} else if n != end-start {
-			return fmt.Errorf("trace ended %d references into a %d-reference window", n, end-start)
-		}
-		sys.Drain()
 		systems[k] = sys
-		return nil
+		return RunWindow([]*system.System{sys}, r, Window{Start: bounds[k], End: bounds[k+1], Warmup: opts.Warmup})
 	})
 	if err != nil {
 		return nil, nil, err

@@ -3,6 +3,7 @@ package checkpoint
 import (
 	"bytes"
 	"math"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/system"
@@ -69,11 +70,11 @@ func TestExactShardedCatchesCorruption(t *testing.T) {
 	cfg := testMachine(system.VR, 1)
 	tc := testWorkload(t, "pops", 0.005, 1)
 	opts := shardOpts(cfg, tc, 2, 0, true)
-	calls := 0
+	// Shards call Source from their own goroutines.
+	var calls atomic.Int32
 	opts.Source = func() (trace.Reader, error) {
-		calls++
 		cc := tc
-		if calls > 1 {
+		if calls.Add(1) > 1 {
 			cc.Seed++ // shards replay a different trace than the prior pass
 		}
 		return tracegen.MustNew(cc), nil

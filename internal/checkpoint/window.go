@@ -20,13 +20,15 @@ type Window struct {
 }
 
 // RunWindow drives every system through one approximate window off a single
-// shared pass over r — the inner cell of the autotuner's 2D (configurations
-// × time shards) schedule. It composes the sweep engine's fan-out with
-// ShardedRun's approximate mode: the skipped prefix is still translated
-// through every system's MMU so demand paging assigns frames in first-touch
-// order (physical indexing cannot diverge from a full run), the warm-up is
-// simulated and then discarded by ResetStats, and only [Start, End) lands
-// in the statistics, with write buffers drained at the end.
+// shared pass over r. It is the one skip, warm and measure loop: each of
+// ShardedRun's approximate shards is a RunWindow over one fresh system, and
+// each cell of the autotuner's 2D (configurations × time shards) schedule is
+// a RunWindow over that cell's configurations. The skipped prefix is still
+// translated through every system's MMU so demand paging assigns frames in
+// first-touch order (physical indexing cannot diverge from a full run), the
+// warm-up is simulated and then discarded by ResetStats, and only
+// [Start, End) lands in the statistics, with write buffers drained at the
+// end.
 //
 // Each batch is read once and applied to every system in turn, so G
 // configurations share one trace pass instead of G regenerations. Errors

@@ -154,7 +154,8 @@ var useSweep = true
 // configuration's trace is split into shardCount windows simulated in
 // parallel, each warmed with shardWarmup references. Hit ratios then agree
 // with the sequential run to within the warm-up's residual (~1e-3 at 64K).
-// Set by SetSharding from cmd/experiments -shards.
+// Timed sweeps stay unsharded: every shard would share the configuration's
+// one cycle engine. Set by SetSharding from cmd/experiments -shards.
 var (
 	shardCount  int
 	shardWarmup uint64
@@ -191,6 +192,16 @@ func runSharded(tc tracegen.Config, sc system.Config) (*system.System, error) {
 	return sys, err
 }
 
+// hasCycles reports whether any configuration carries a cycle engine.
+func hasCycles(scs []system.Config) bool {
+	for _, sc := range scs {
+		if sc.Cycles != nil {
+			return true
+		}
+	}
+	return false
+}
+
 // runSweep drives one synthetic workload through every machine
 // configuration in scs. With the sweep engine, the trace is generated once
 // and broadcast to all systems, each simulating in its own goroutine; the
@@ -198,7 +209,7 @@ func runSharded(tc tracegen.Config, sc system.Config) (*system.System, error) {
 // returned systems parallel scs.
 func runSweep(tc tracegen.Config, scs []system.Config) ([]*system.System, error) {
 	systems := make([]*system.System, len(scs))
-	if shardCount > 1 {
+	if shardCount > 1 && !hasCycles(scs) {
 		for i, sc := range scs {
 			sys, err := runSharded(tc, sc)
 			if err != nil {

@@ -293,6 +293,9 @@ func (r *RCache) RestoreState(s cache.State[Line]) error {
 			return fmt.Errorf("rcache: state way %d has %d subentries, want 0 or %d", i, n, r.subs)
 		}
 	}
+	// Copy the ways first: s shares its backing array with the caller's
+	// state, which must not end up holding the cache's own subentries.
+	s.Ways = append([]cache.Entry[Line](nil), s.Ways...)
 	for i := range s.Ways {
 		s.Ways[i].Line.Subs = append([]SubEntry(nil), s.Ways[i].Line.Subs...)
 	}

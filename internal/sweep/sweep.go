@@ -18,22 +18,17 @@
 //     its tag stores stay cache-resident, instead of all N tag stores
 //     rotating through the last-level cache every small batch. No
 //     goroutines, channels or atomics at all.
-//   - More workers than one, static mode: systems are partitioned into one
-//     contiguous group per worker. Each batch is reference-counted by the
-//     number of groups (not systems) and delivered once per group, cutting
-//     the per-batch channel operations and refcount cache-line traffic from
-//     N to W.
-//   - Work-stealing mode (Options.WorkSteal): each system keeps its own
-//     batch queue and idle workers claim whichever system has pending work,
-//     via a lock-free pending-counter mailbox. Use it when per-system
-//     runtimes differ a lot (heterogeneous configurations), where a static
-//     partition would leave workers idle behind the slowest group.
+//   - More workers than one: systems are partitioned into one contiguous
+//     group per worker. Each batch is reference-counted by the number of
+//     groups (not systems) and delivered once per group, cutting the
+//     per-batch channel operations and refcount cache-line traffic from N
+//     to W.
 //
 // Batches are reference-counted and recycled through a free pool, so the
-// steady state allocates nothing. In every mode each system consumes its
+// steady state allocates nothing. In both shapes each system consumes its
 // batches in stream order from one worker at a time, so it observes exactly
 // the reference stream a sequential run would: per-system results are
-// bit-identical to running that configuration alone, regardless of mode or
+// bit-identical to running that configuration alone, regardless of shape or
 // worker count (see TestSweepMatchesSequential and TestSweepModesIdentical).
 package sweep
 
@@ -50,7 +45,8 @@ import (
 )
 
 // Options tunes the engine. The zero value is ready to use: batch size,
-// queue depth and worker count adapt to GOMAXPROCS and the system count.
+// queue depth and worker count adapt to GOMAXPROCS and the system count,
+// and the worker count alone picks the execution shape.
 type Options struct {
 	// BatchSize is the number of trace records per broadcast batch. When 0
 	// it adapts: 4096 records as the base, scaled up (to at most 64k) with
@@ -67,10 +63,6 @@ type Options struct {
 	// number of systems). 1 selects the sequential chunked mode on the
 	// caller's goroutine.
 	Workers int
-	// WorkSteal selects dynamic system-to-worker assignment instead of a
-	// static partition. Only meaningful with more than one worker and more
-	// systems than workers.
-	WorkSteal bool
 }
 
 // maxBatchSize caps the adaptive batch size (64k records ≈ 1.5 MB).
@@ -170,12 +162,9 @@ func Run(r trace.Reader, systems []*system.System, opts Options) error {
 	workers := opts.resolve(len(systems))
 	errs := make([]error, len(systems))
 	var readErr error
-	switch {
-	case workers == 1:
+	if workers == 1 {
 		readErr = runSequential(r, systems, opts, errs)
-	case opts.WorkSteal && workers < len(systems):
-		readErr = runStealing(r, systems, opts, workers, errs)
-	default:
+	} else {
 		readErr = runGrouped(r, systems, opts, workers, errs)
 	}
 	if readErr != nil {
@@ -266,7 +255,7 @@ func broadcast(r trace.Reader, chans []chan *batch, free chan *batch) error {
 	return readErr
 }
 
-// runGrouped is the static multi-worker mode: systems are partitioned into
+// runGrouped is the multi-worker mode: systems are partitioned into
 // one contiguous group per worker, and each batch is delivered once per
 // group. The group applies it to its systems in system order.
 func runGrouped(r trace.Reader, systems []*system.System, opts Options, workers int, errs []error) error {
@@ -305,109 +294,6 @@ func runGrouped(r trace.Reader, systems []*system.System, opts Options, workers 
 	}
 
 	readErr := broadcast(r, chans, free)
-	wg.Wait()
-	return readErr
-}
-
-// stealSys is one system's work-stealing state: its private batch queue and
-// the pending-counter mailbox that guarantees exactly one worker processes
-// the system at a time while never losing a wakeup.
-type stealSys struct {
-	sys     *system.System
-	idx     int
-	in      chan *batch
-	pending atomic.Int64
-	done    bool
-}
-
-// runStealing is the dynamic multi-worker mode. The broadcaster still
-// delivers every batch to every system's queue (order must be preserved
-// per system), but systems are claimed by whichever worker is free: a
-// system becomes runnable when its pending count rises from zero, and the
-// worker that drains it re-enqueues it only if more work arrived meanwhile.
-// Heterogeneous systems therefore never serialize behind a static partition.
-func runStealing(r trace.Reader, systems []*system.System, opts Options, workers int, errs []error) error {
-	free := newPool(workers, opts)
-	states := make([]*stealSys, len(systems))
-	chans := make([]chan *batch, len(systems))
-	for i, s := range systems {
-		// One extra slot holds the nil end-of-stream sentinel, which is not
-		// pool-limited.
-		states[i] = &stealSys{sys: s, idx: i, in: make(chan *batch, opts.QueueDepth+1)}
-		chans[i] = states[i].in
-	}
-	runnable := make(chan *stealSys, len(systems))
-	post := func(ss *stealSys, b *batch) {
-		ss.in <- b
-		if ss.pending.Add(1) == 1 {
-			runnable <- ss
-		}
-	}
-
-	var live atomic.Int64
-	live.Store(int64(len(systems)))
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for ss := range runnable {
-				// Claim: only this worker touches ss until re-enqueue, so
-				// per-system batch order is preserved.
-				n := ss.pending.Load()
-				for i := int64(0); i < n; i++ {
-					b := <-ss.in
-					if b == nil {
-						// End of stream for this system.
-						if errs[ss.idx] == nil {
-							ss.sys.Drain()
-						}
-						ss.done = true
-						if live.Add(-1) == 0 {
-							close(runnable)
-						}
-						continue
-					}
-					if errs[ss.idx] == nil {
-						errs[ss.idx] = ss.sys.ApplyBatch(b.refs)
-					}
-					if b.left.Add(-1) == 0 {
-						free <- b
-					}
-				}
-				if ss.pending.Add(-n) > 0 && !ss.done {
-					runnable <- ss
-				}
-			}
-		}()
-	}
-
-	var readErr error
-	for {
-		b := <-free
-		b.refs = b.refs[:cap(b.refs)]
-		n, err := trace.FillBatch(r, b.refs)
-		if n > 0 {
-			b.refs = b.refs[:n]
-			b.left.Store(int32(len(states)))
-			for _, ss := range states {
-				post(ss, b)
-			}
-		} else {
-			free <- b
-		}
-		if err != nil {
-			if !errors.Is(err, io.EOF) {
-				readErr = err
-			}
-			break
-		}
-	}
-	// End-of-stream sentinels: delivered through the same mailbox so they
-	// are processed after every queued batch, in order.
-	for _, ss := range states {
-		post(ss, nil)
-	}
 	wg.Wait()
 	return readErr
 }

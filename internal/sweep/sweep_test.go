@@ -159,20 +159,40 @@ func TestSweepEmptyAndSingle(t *testing.T) {
 	}
 }
 
-// TestSweepSystemError proves a failing system aborts the sweep with its
-// index and does not deadlock the broadcaster or the healthy systems.
+// TestSweepSystemError proves a failing system aborts the one-worker
+// chunked sweep with its index, while the healthy systems finish the stream.
 func TestSweepSystemError(t *testing.T) {
+	checkSystemError(t, 1)
+}
+
+// TestSweepStealingSystemError proves the same on the grouped multi-worker
+// shape, where the failing system shares a group with a healthy one, and
+// that neither the broadcaster nor the workers deadlock. The name dates
+// from the removed work-stealing shape, whose error path it used to run.
+func TestSweepStealingSystemError(t *testing.T) {
+	checkSystemError(t, 2)
+}
+
+// checkSystemError sweeps three systems on the given worker count, with
+// system 1 too small for the trace, and checks that the error names system
+// 1 and that systems 0 and 2 still run all the records.
+func checkSystemError(t *testing.T, workers int) {
+	t.Helper()
 	tc := testWorkload()
 	tc.TotalRefs = 10_000
-	scs := testConfigs(tc)[:2]
+	scs := testConfigs(tc)[:3]
 	scs[1].CPUs = 1 // records for CPU 1 will error on this system
 	systems := buildSystems(t, tc, scs)
-	err := Run(tracegen.MustNew(tc), systems, Options{BatchSize: 64})
+	err := Run(tracegen.MustNew(tc), systems, Options{Workers: workers, BatchSize: 64})
 	if err == nil {
 		t.Fatal("sweep with an undersized system did not error")
 	}
-	if want := "sweep: system 1:"; len(err.Error()) < len(want) || err.Error()[:len(want)] != want {
+	if want := "sweep: system 1:"; !strings.HasPrefix(err.Error(), want) {
 		t.Errorf("error %q does not identify system 1", err)
+	}
+	if systems[0].Refs() != 10_000 || systems[2].Refs() != 10_000 {
+		t.Errorf("healthy systems did not finish: %d and %d refs",
+			systems[0].Refs(), systems[2].Refs())
 	}
 }
 
@@ -196,9 +216,9 @@ func TestSweepReaderError(t *testing.T) {
 	}
 }
 
-// TestSweepModesIdentical proves every execution shape — sequential chunked,
-// grouped static partition, and work stealing, across batch sizes and queue
-// depths — produces per-system results byte-identical to the sequential
+// TestSweepModesIdentical proves both execution shapes — sequential chunked
+// and grouped static partition, across batch sizes and queue depths —
+// produce per-system results byte-identical to the sequential
 // single-system runs.
 func TestSweepModesIdentical(t *testing.T) {
 	tc := testWorkload()
@@ -218,12 +238,13 @@ func TestSweepModesIdentical(t *testing.T) {
 		{Workers: 1, BatchSize: 33},
 		{Workers: 2},
 		{Workers: len(scs)},
-		{Workers: 2, WorkSteal: true},
-		{Workers: 2, WorkSteal: true, BatchSize: 129, QueueDepth: 1},
-		{Workers: 3, WorkSteal: true, BatchSize: 4096, QueueDepth: 2},
+		{Workers: 2, BatchSize: 129, QueueDepth: 1},
+		{Workers: 3, BatchSize: 4096, QueueDepth: 2},
 	}
 	for _, opts := range modes {
-		name := fmt.Sprintf("w%d_steal%v_b%d_q%d", opts.Workers, opts.WorkSteal, opts.BatchSize, opts.QueueDepth)
+		// "stealfalse" keeps the subtest names stable from when a
+		// work-stealing shape existed.
+		name := fmt.Sprintf("w%d_stealfalse_b%d_q%d", opts.Workers, opts.BatchSize, opts.QueueDepth)
 		t.Run(name, func(t *testing.T) {
 			systems := buildSystems(t, tc, scs)
 			if err := Run(tracegen.MustNew(tc), systems, opts); err != nil {
@@ -235,28 +256,6 @@ func TestSweepModesIdentical(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestSweepStealingSystemError exercises the error path of the work-stealing
-// mode: the failing system is identified, healthy systems finish the stream,
-// and neither the broadcaster nor the workers deadlock.
-func TestSweepStealingSystemError(t *testing.T) {
-	tc := testWorkload()
-	tc.TotalRefs = 10_000
-	scs := testConfigs(tc)[:3]
-	scs[1].CPUs = 1 // records for CPU 1 will error on this system
-	systems := buildSystems(t, tc, scs)
-	err := Run(tracegen.MustNew(tc), systems, Options{Workers: 2, WorkSteal: true, BatchSize: 64})
-	if err == nil {
-		t.Fatal("sweep with an undersized system did not error")
-	}
-	if want := "sweep: system 1:"; !strings.HasPrefix(err.Error(), want) {
-		t.Errorf("error %q does not identify system 1", err)
-	}
-	if systems[0].Refs() != 10_000 || systems[2].Refs() != 10_000 {
-		t.Errorf("healthy systems did not finish: %d and %d refs",
-			systems[0].Refs(), systems[2].Refs())
 	}
 }
 

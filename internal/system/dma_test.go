@@ -28,6 +28,7 @@ func TestDMAWriteInvalidatesCaches(t *testing.T) {
 	if got.Token != want {
 		t.Errorf("CPU read token %d, want device's %d", got.Token, want)
 	}
+	auditClean(t, s)
 }
 
 func TestDMAReadFlushesDirtyCopy(t *testing.T) {
@@ -52,6 +53,7 @@ func TestDMAReadFlushesDirtyCopy(t *testing.T) {
 	if !again.L1Hit || again.Token != res.Token {
 		t.Errorf("CPU copy damaged by device read: %+v", again)
 	}
+	auditClean(t, s)
 }
 
 func TestDMAWritePreservesUnrelatedDirtySub(t *testing.T) {
@@ -74,6 +76,7 @@ func TestDMAWritePreservesUnrelatedDirtySub(t *testing.T) {
 	if got.Token != w.Token {
 		t.Errorf("unrelated dirty sub lost: read %d, want %d", got.Token, w.Token)
 	}
+	auditClean(t, s)
 }
 
 func TestDMATransfers(t *testing.T) {
@@ -118,6 +121,7 @@ func TestDMAWithAllOrganizations(t *testing.T) {
 		if back.Token != devTok {
 			t.Errorf("%v: CPU read %d after DMA write, want %d", org, back.Token, devTok)
 		}
+		auditClean(t, s)
 	}
 }
 
@@ -152,4 +156,5 @@ func TestDMAInterleavedWithWorkload(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	auditClean(t, s)
 }

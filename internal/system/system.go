@@ -126,11 +126,8 @@ type Config struct {
 	Audit *audit.Auditor
 
 	// CheckOracle verifies on every read that the newest write to the
-	// physical block is observed. CheckInvariants additionally validates
-	// every hierarchy's structural invariants after every reference (slow;
-	// for tests).
-	CheckOracle     bool
-	CheckInvariants bool
+	// physical block is observed.
+	CheckOracle bool
 }
 
 func (c *Config) applyDefaults() {
@@ -327,13 +324,6 @@ func (s *System) Apply(ref trace.Ref) (core.AccessResult, error) {
 		} else if want := s.oracle[res.PA]; res.Token != want {
 			return res, fmt.Errorf("system: oracle violation: cpu %d %v %#x (pa %#x) read token %d, want %d",
 				ref.CPU, ref.Kind, uint64(ref.Addr), uint64(res.PA), res.Token, want)
-		}
-	}
-	if s.cfg.CheckInvariants {
-		for i, h := range s.cpus {
-			if err := h.Check(); err != nil {
-				return res, fmt.Errorf("system: cpu %d invariants after %v: %w", i, ref, err)
-			}
 		}
 	}
 	if s.aud != nil {

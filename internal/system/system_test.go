@@ -4,19 +4,35 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/audit"
 	"repro/internal/cache"
 	"repro/internal/trace"
 )
 
+// smallConfig is a tiny machine that checks the oracle on every read and
+// audits every invariant after every reference; tests that drive it assert
+// auditClean.
 func smallConfig(org Organization) Config {
 	return Config{
-		CPUs:            2,
-		Organization:    org,
-		PageSize:        64,
-		L1:              cache.Geometry{Size: 128, Block: 16, Assoc: 1},
-		L2:              cache.Geometry{Size: 512, Block: 32, Assoc: 2},
-		CheckOracle:     true,
-		CheckInvariants: true,
+		CPUs:         2,
+		Organization: org,
+		PageSize:     64,
+		L1:           cache.Geometry{Size: 128, Block: 16, Assoc: 1},
+		L2:           cache.Geometry{Size: 512, Block: 32, Assoc: 2},
+		CheckOracle:  true,
+		Audit:        audit.New(1),
+	}
+}
+
+// auditClean fails t if s's auditor ran no audit or found any violation.
+func auditClean(t *testing.T, s *System) {
+	t.Helper()
+	a := s.Auditor()
+	if a.Audits() == 0 {
+		t.Error("auditor never ran")
+	}
+	if a.Total() > 0 {
+		t.Errorf("audit found %d violation(s): %v", a.Total(), a.Violations())
 	}
 }
 
@@ -84,6 +100,7 @@ func TestRunSmallTrace(t *testing.T) {
 	if s.Stats(0).CtxSwitches != 1 {
 		t.Error("context switch not applied")
 	}
+	auditClean(t, s)
 }
 
 func TestRunRejectsUnknownCPU(t *testing.T) {
@@ -116,6 +133,7 @@ func TestSharedWritesAcrossCPUs(t *testing.T) {
 	if s.Bus().Stats().Total() == 0 {
 		t.Error("sharing generated no bus traffic")
 	}
+	auditClean(t, s)
 }
 
 func TestAggregate(t *testing.T) {
@@ -140,6 +158,7 @@ func TestAggregate(t *testing.T) {
 	if a.H2 != a.L2.Overall {
 		t.Error("H2 alias broken")
 	}
+	auditClean(t, s)
 }
 
 func TestCoherenceMessages(t *testing.T) {
@@ -162,6 +181,7 @@ func TestCoherenceMessages(t *testing.T) {
 	if msgs[1] != 1 {
 		t.Errorf("cpu1 probes = %d, want 1", msgs[1])
 	}
+	auditClean(t, s)
 }
 
 func TestDefaultsApplied(t *testing.T) {
@@ -221,4 +241,5 @@ func TestResetStats(t *testing.T) {
 	if s.Stats(0).L1.Overall().Total != 1 {
 		t.Error("post-reset accounting wrong")
 	}
+	auditClean(t, s)
 }
