@@ -79,13 +79,19 @@ func TestWarmHitPathAllocationFree(t *testing.T) {
 }
 
 // observedMachine builds a 1-CPU machine with the full observability stack
-// armed the way a monitored production run carries it: a timed engine with
-// latency histograms attached, and an auditor ticking with a period long
-// enough that no audit fires inside the measured window (audits themselves
-// snapshot and allocate — they are periodic by design, not per-reference).
-func observedMachine(t *testing.T, org vrsim.Organization) *vrsim.System {
+// armed the way a monitored production run carries it: a probe feeding a
+// windowed-metrics collector from both the machine and its timed engine (a
+// vrsimd job's wiring), latency histograms on the engine, and an auditor
+// ticking with a period long enough that no audit fires inside the
+// measured window (audits themselves snapshot and allocate — they are
+// periodic by design, not per-reference). The window is as long, so none
+// closes mid-measurement either.
+func observedMachine(t *testing.T, org vrsim.Organization) (*vrsim.System, *vrsim.MetricWindows) {
 	t.Helper()
-	eng, err := vrsim.NewCycleEngine(vrsim.ContentionCycleParams(), nil)
+	pr := vrsim.NewProbe()
+	windows := vrsim.NewMetricWindows(1 << 40)
+	pr.AddSink(windows)
+	eng, err := vrsim.NewCycleEngine(vrsim.ContentionCycleParams(), pr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,18 +103,20 @@ func observedMachine(t *testing.T, org vrsim.Organization) *vrsim.System {
 		L2:           vrsim.Geometry{Size: 64 << 10, Block: 32, Assoc: 1},
 		Cycles:       eng,
 		Audit:        vrsim.NewAuditor(1 << 40),
+		Probe:        pr,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return sys
+	return sys, windows
 }
 
 // TestWarmHitPathWithHistogramsAllocationFree proves enabling latency
-// histograms (fixed buckets, pre-sized per-CPU sets) and arming the auditor
-// keeps the warm hit and miss paths allocation-free: Record is
-// branch-and-increment into fixed arrays, and an idle auditor tick is one
-// counter decrement.
+// histograms (fixed buckets, pre-sized per-CPU sets), arming the auditor and
+// delivering events to a windowed-metrics sink keeps the warm hit and miss
+// paths allocation-free: Record is branch-and-increment into fixed arrays,
+// an idle auditor tick is one counter decrement, and Emit hands each event
+// by value to the sink, which folds it into counters.
 func TestWarmHitPathWithHistogramsAllocationFree(t *testing.T) {
 	orgs := []struct {
 		name string
@@ -121,7 +129,7 @@ func TestWarmHitPathWithHistogramsAllocationFree(t *testing.T) {
 	}
 	for _, o := range orgs {
 		t.Run(o.name, func(t *testing.T) {
-			sys := observedMachine(t, o.org)
+			sys, windows := observedMachine(t, o.org)
 			read := vrsim.Ref{CPU: 0, Kind: vrsim.Read, PID: 1, Addr: 0x2000}
 			write := vrsim.Ref{CPU: 0, Kind: vrsim.Write, PID: 1, Addr: 0x2000}
 			// L1-conflicting pair for the miss path (see below).
@@ -133,6 +141,9 @@ func TestWarmHitPathWithHistogramsAllocationFree(t *testing.T) {
 			requireZeroAllocs(t, "V-miss/R-hit + histograms", func() { mustApply(t, sys, a, b) })
 			if eng := sys.Cycles(); eng.Latencies().Hist(0, vrsim.LatAccess).Count() == 0 {
 				t.Fatal("histograms did not record despite being attached")
+			}
+			if w, open := windows.Pending(); !open || w.L1Hits == 0 || w.Cycles == 0 {
+				t.Fatalf("window sink saw no hits or cycle charges: open %v, %+v", open, w)
 			}
 		})
 	}

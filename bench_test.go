@@ -102,7 +102,7 @@ func benchProbed(b *testing.B, org vrsim.Organization, sink bool) {
 	b.ReportAllocs()
 	var refs uint64
 	for i := 0; i < b.N; i++ {
-		pr := vrsim.NewProbe(0)
+		pr := vrsim.NewProbe()
 		if sink {
 			pr.AddSink(vrsim.NewMetricWindows(1000))
 		}

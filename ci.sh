@@ -31,8 +31,9 @@ go test -run '^$' -fuzz '^FuzzTextParse$' -fuzztime 10s ./internal/trace
 go test -run '^$' -fuzz '^FuzzCheckpointRoundTrip$' -fuzztime 10s ./internal/checkpoint
 go test -run '^$' -fuzz '^FuzzJobConfigDecode$' -fuzztime 10s ./internal/jobs
 
-echo "== coverage floors (internal/checkpoint, internal/stats, internal/jobs, internal/tsdb, internal/victim, internal/rlt)"
-for pkg in internal/checkpoint internal/stats internal/jobs internal/tsdb internal/victim internal/rlt; do
+echo "== coverage floors (internal/checkpoint, internal/stats, internal/jobs, internal/tsdb, internal/victim, internal/rlt, internal/probe, internal/telemetry)"
+for pkg in internal/checkpoint internal/stats internal/jobs internal/tsdb internal/victim internal/rlt \
+    internal/probe internal/telemetry; do
     pct=$(go test -cover "./$pkg" | sed -n 's/.*coverage: \([0-9.]*\)% of statements.*/\1/p')
     if [ -z "$pct" ]; then
         echo "coverage: no figure reported for $pkg" >&2
@@ -127,6 +128,13 @@ go run -race ./cmd/autotune -grammar "$tmp/grammar.json" -preset pops \
 grep -q "margin sound: true" "$tmp/autotune.out"
 grep -q "pruning sound" "$tmp/autotune.out"
 grep -Eq "pruned [1-9]" "$tmp/autotune.out"
+
+# Restart equivalence of the persisted time-series: a parked and resumed job
+# must write exactly the windows an uninterrupted run writes, contiguous
+# across the restart. Where the job parks depends on scheduling, so one run
+# covers one park point; three runs under the race detector cover more.
+echo "== job time-series across a restart (race, 3 runs)"
+go test -race -count 3 -run 'TestRestartSeriesEquivalence|TestTimeseriesRestartContinuity' ./internal/jobs
 
 # Job-server smoke: a real daemon on a real socket. Submit a table6-style
 # sweep (VR vs RR at the paper's main sizes), verify the report names every

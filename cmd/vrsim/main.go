@@ -348,7 +348,7 @@ func buildProbe(o options, stdout io.Writer) (*probe.Probe, *probe.Windows, erro
 		}
 		return nil, nil, nil
 	}
-	pr := probe.New(0)
+	pr := probe.New()
 	if o.events {
 		filter, err := probe.ParseFilter(o.eventsFilter)
 		if err != nil {
@@ -403,7 +403,7 @@ func run(o options, stdout io.Writer) error {
 	if pr == nil && o.telemetryActive() {
 		// The telemetry layer rides the probe event stream; arm a probe
 		// even when no event flag asked for one.
-		pr = probe.New(0)
+		pr = probe.New()
 	}
 	if err := validateTelemetryFlags(o); err != nil {
 		return err
@@ -582,7 +582,6 @@ func run(o options, stdout io.Writer) error {
 			Label: fmt.Sprintf("%v %dcpu l1=%v l2=%v",
 				sc.Organization, sc.CPUs, sc.L1, sc.L2),
 			Snapshot: sys.AuditSnapshot,
-			Probe:    pr,
 		})
 		pr.AddSink(rec)
 		aud.AddOnAudit(rec.OnAudit)

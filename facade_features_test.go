@@ -120,7 +120,7 @@ func TestPublicTelemetry(t *testing.T) {
 	if b := vrsim.Build(); b.GoVersion == "" {
 		t.Fatalf("incomplete build info: %+v", b)
 	}
-	pr := vrsim.NewProbe(0)
+	pr := vrsim.NewProbe()
 	eng, err := vrsim.NewCycleEngine(vrsim.ContentionCycleParams(), pr)
 	if err != nil {
 		t.Fatal(err)

@@ -191,7 +191,7 @@ func (e *Engine) Reset() {
 }
 
 // agentFor returns agent id's state, growing the table on demand (DMA
-// engines attach after the CPUs, like probe's per-CPU rings).
+// engines attach after the CPUs).
 func (e *Engine) agentFor(id int) *agent {
 	if id < 0 {
 		id = 0

@@ -197,7 +197,7 @@ type auxSink struct{ sums [probe.NumKinds]uint64 }
 func (s *auxSink) Event(ev probe.Event) { s.sums[ev.Kind] += ev.Aux }
 
 func TestProbeEventsMirrorCharges(t *testing.T) {
-	pr := probe.New(64)
+	pr := probe.New()
 	sink := &auxSink{}
 	pr.AddSink(sink)
 
@@ -212,7 +212,6 @@ func TestProbeEventsMirrorCharges(t *testing.T) {
 	c.BusWrite()
 	c.WBStall()
 	e.OnTxn(bus.Txn{From: 1, Kind: bus.Invalidate}) // queues behind the drain
-	pr.Flush()
 	sums := sink.sums
 
 	at := e.Agent(0)

@@ -31,7 +31,7 @@ func Attribution(w io.Writer, scale float64) error {
 	orgs := []system.Organization{system.VR, system.RRInclusion}
 	reports := make([]*telemetry.AttributionReport, len(orgs))
 	for i, org := range orgs {
-		pr := probe.New(0)
+		pr := probe.New()
 		eng := cycles.MustNew(cp, pr)
 		sc := machineConfig(tc, p, org)
 		sc.Probe, sc.Cycles = pr, eng

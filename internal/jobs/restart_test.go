@@ -9,10 +9,16 @@ package jobs_test
 
 import (
 	"bytes"
+	"errors"
+	"os"
+	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/jobs"
+	"repro/internal/tsdb"
 )
 
 const (
@@ -56,8 +62,23 @@ func waitDone(t *testing.T, m *jobs.Manager, id string) jobs.Status {
 	}
 }
 
-// uninterruptedReport runs the job to completion in one daemon lifetime.
-func uninterruptedReport(t *testing.T, config string) []byte {
+// finished returns a done job's report and persisted time-series (none for
+// autotune jobs, which report no progress windows).
+func finished(t *testing.T, m *jobs.Manager, id string) ([]byte, []tsdb.Sample) {
+	t.Helper()
+	report, err := m.Report(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	series, err := m.Timeseries(id, tsdb.Query{})
+	if err != nil && !errors.Is(err, tsdb.ErrNoSeries) {
+		t.Fatal(err)
+	}
+	return report, series
+}
+
+// uninterruptedRun runs the job to completion in one daemon lifetime.
+func uninterruptedRun(t *testing.T, config string) ([]byte, []tsdb.Sample) {
 	t.Helper()
 	m, err := jobs.Open(managerOptions(t.TempDir()))
 	if err != nil {
@@ -69,18 +90,14 @@ func uninterruptedReport(t *testing.T, config string) []byte {
 		t.Fatal(err)
 	}
 	waitDone(t, m, st.ID)
-	report, err := m.Report(st.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return report
+	return finished(t, m, st.ID)
 }
 
-// interruptedReport starts the job, shuts the manager down mid-run (the
+// interruptedRun starts the job, shuts the manager down mid-run (the
 // daemon-restart path: in-flight jobs park with a final checkpoint and stay
 // persisted as running), reopens the same state directory, and returns the
-// resumed job's report.
-func interruptedReport(t *testing.T, config string, wantResume bool) []byte {
+// resumed job's report and time-series.
+func interruptedRun(t *testing.T, config string, wantResume bool) ([]byte, []tsdb.Sample) {
 	t.Helper()
 	dir := t.TempDir()
 	m1, err := jobs.Open(managerOptions(dir))
@@ -142,17 +159,13 @@ func interruptedReport(t *testing.T, config string, wantResume bool) []byte {
 	if m2.Counters().Resumed == 0 {
 		t.Error("fleet counters do not record the resume")
 	}
-	report, err := m2.Report(st.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return report
+	return finished(t, m2, st.ID)
 }
 
 func testRestartEquivalence(t *testing.T, config string, wantResume bool) {
 	t.Helper()
-	want := uninterruptedReport(t, config)
-	got := interruptedReport(t, config, wantResume)
+	want, _ := uninterruptedRun(t, config)
+	got, _ := interruptedRun(t, config, wantResume)
 	if !bytes.Equal(want, got) {
 		t.Fatalf("resumed report differs from uninterrupted report:\n--- uninterrupted (%d bytes)\n%.2000s\n--- resumed (%d bytes)\n%.2000s",
 			len(want), want, len(got), got)
@@ -172,6 +185,104 @@ func TestRestartResumeAutotune(t *testing.T) {
 	// result, the spec stays running, and the reopened daemon re-runs the
 	// deterministic search from scratch.
 	testRestartEquivalence(t, restartAutotuneConfig, false)
+}
+
+// testSeriesEquivalence: a parked and resumed job persists the same
+// time-series as the uninterrupted run, window for window. Every event
+// reaches the window collector before the parking checkpoint is written, and
+// the window open at the checkpoint cursor travels in the container, so the
+// resumed lifetime finishes that window instead of restarting it from zero.
+func testSeriesEquivalence(t *testing.T, config string) {
+	t.Helper()
+	_, want := uninterruptedRun(t, config)
+	_, got := interruptedRun(t, config, true)
+	if len(want) == 0 {
+		t.Fatal("uninterrupted run persisted no windows")
+	}
+	if reflect.DeepEqual(got, want) {
+		return
+	}
+	if len(got) != len(want) {
+		t.Fatalf("resumed series has %d windows, uninterrupted has %d", len(got), len(want))
+	}
+	wrong := 0
+	for i := range want {
+		if got[i] != want[i] {
+			if wrong < 3 {
+				t.Errorf("window %d:\n resumed       %+v\n uninterrupted %+v", i, got[i], want[i])
+			}
+			wrong++
+		}
+	}
+	t.Fatalf("%d of %d windows differ after the resume", wrong, len(want))
+}
+
+func TestRestartSeriesEquivalenceRun(t *testing.T) {
+	testSeriesEquivalence(t, restartRunConfig)
+}
+
+func TestRestartSeriesEquivalenceSweep(t *testing.T) {
+	testSeriesEquivalence(t, restartSweepConfig)
+}
+
+// TestRestartRejectsOldContainer: a parked job whose checkpoint container
+// carries the layout without the open window (magic VRJOBS1) fails on
+// resume with a bad-magic error instead of misreading the container.
+func TestRestartRejectsOldContainer(t *testing.T) {
+	dir := t.TempDir()
+	m1, err := jobs.Open(managerOptions(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := m1.Submit([]byte(restartRunConfig))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for {
+		cur, _ := m1.Get(st.ID)
+		if cur.Records > 0 {
+			break
+		}
+		if jobs.Terminal(cur.State) {
+			t.Fatalf("job finished (%s) before the shutdown", cur.State)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if err := m1.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := jobs.VerifyNoLeaks(5 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, st.ID+".ck")
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("parked job left no container: %v", err)
+	}
+	copy(data, "VRJOBS1\n")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	m2, err := jobs.Open(managerOptions(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m2.Close()
+	deadline := time.Now().Add(time.Minute)
+	for {
+		cur, _ := m2.Get(st.ID)
+		if jobs.Terminal(cur.State) {
+			if cur.State != jobs.StateFailed || !strings.Contains(cur.Error, "bad checkpoint magic") {
+				t.Fatalf("job resumed from an old container: %s (%q)", cur.State, cur.Error)
+			}
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("job still %s after 1m", cur.State)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
 }
 
 // TestRestartPreservesQueuedJobs: jobs admitted but never started survive a

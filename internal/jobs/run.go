@@ -55,7 +55,7 @@ func (m *Manager) runSim(ctx context.Context, j *job) ([]byte, error) {
 	// The progress probe rides machine 0 only: windows feed Status.Window
 	// and the job's persisted time-series through the recorder, and the
 	// per-batch record counter feeds Status.Records either way.
-	pr := probe.New(0)
+	pr := probe.New()
 	windows := probe.NewWindows(m.opt.ProgressEvery)
 	rec := m.newRecorder(j)
 	windows.OnClose = rec.onWindow
@@ -96,7 +96,7 @@ func (m *Manager) runSim(ctx context.Context, j *job) ([]byte, error) {
 	}
 	var reader trace.Reader = gen
 	var cursor uint64
-	if ck, ok, err := m.loadCheckpoint(j, machines, wl, timed, params, systems); err != nil {
+	if ck, ok, err := m.loadCheckpoint(j, machines, wl, timed, params, systems, windows); err != nil {
 		return nil, err
 	} else if ok {
 		cursor = ck
@@ -106,11 +106,19 @@ func (m *Manager) runSim(ctx context.Context, j *job) ([]byte, error) {
 		j.mu.Lock()
 		j.resumed = true
 		j.mu.Unlock()
-		// Re-anchor the window collector at the resume point so window
-		// sequence numbers continue the previous daemon lifetime's series
-		// (the appender drops any recomputed window it already persisted).
-		windows.SetBase(systems[0].Refs())
 		m.log.Info("job resumed", "job", j.id, "records", cursor, "refs", systems[0].Refs())
+	}
+	// persist writes the series closed so far, then the container, so
+	// a container is never ahead of the persisted series.
+	persist := func() error {
+		rec.flush()
+		if err := m.saveCheckpoint(j, machines, wl, timed, params, systems, windows, cursor); err != nil {
+			return err
+		}
+		if j.trace != nil {
+			j.trace.noteCheckpoint()
+		}
+		return nil
 	}
 
 	buf := make([]trace.Ref, 4096)
@@ -119,18 +127,8 @@ func (m *Manager) runSim(ctx context.Context, j *job) ([]byte, error) {
 		if err := ctx.Err(); err != nil {
 			cause := context.Cause(ctx)
 			if errors.Is(cause, errShutdown) {
-				if err := m.saveCheckpoint(j, machines, wl, timed, params, systems, cursor); err != nil {
+				if err := persist(); err != nil {
 					return nil, fmt.Errorf("parking checkpoint: %w", err)
-				}
-				// Close any window the reference cursor has fully passed
-				// before the parking flush — on timed runs probe events trail
-				// the cursor, and an open-but-complete window would otherwise
-				// vanish from the series (the resumed lifetime starts at the
-				// next window).
-				windows.CloseApplied(systems[0].Refs())
-				rec.flush()
-				if j.trace != nil {
-					j.trace.noteCheckpoint()
 				}
 			}
 			return nil, cause
@@ -152,12 +150,8 @@ func (m *Manager) runSim(ctx context.Context, j *job) ([]byte, error) {
 			return nil, rerr
 		}
 		if m.opt.CheckpointEvery > 0 && cursor-lastCk >= uint64(m.opt.CheckpointEvery) {
-			if err := m.saveCheckpoint(j, machines, wl, timed, params, systems, cursor); err != nil {
+			if err := persist(); err != nil {
 				return nil, fmt.Errorf("periodic checkpoint: %w", err)
-			}
-			rec.flush()
-			if j.trace != nil {
-				j.trace.noteCheckpoint()
 			}
 			lastCk = cursor
 		}
@@ -264,37 +258,49 @@ func skipRecords(r trace.Reader, cursor uint64) (trace.Reader, error) {
 }
 
 // Checkpoint container: every system of a job checkpointed at one shared
-// trace cursor. Writing is atomic (temp + rename), so a daemon killed
+// trace cursor, plus the progress window open at that cursor, so the
+// resumed lifetime finishes the window rather than restarting it from
+// zero. Writing is atomic (temp + rename), so a daemon killed
 // mid-checkpoint leaves the previous container intact.
 //
-//	magic "VRJOBS1\n", then uvarints: cursor, count, then per system
-//	uvarint length + checkpoint.Checkpoint.Encode bytes.
-var ckMagic = []byte("VRJOBS1\n")
+//	magic "VRJOBS2\n", then uvarints: cursor, then the open window's JSON
+//	length (0: none open) + bytes, count, then per system uvarint length +
+//	checkpoint.Checkpoint.Encode bytes.
+var ckMagic = []byte("VRJOBS2\n")
 
-func (m *Manager) saveCheckpoint(j *job, machines []machine, wl tracegen.Config,
-	timed bool, p cycles.Params, systems []*system.System, cursor uint64) error {
+func (m *Manager) saveCheckpoint(j *job, machines []machine, wl tracegen.Config, timed bool,
+	p cycles.Params, systems []*system.System, windows *probe.Windows, cursor uint64) error {
 	var out bytes.Buffer
 	out.Write(ckMagic)
 	var tmp [binary.MaxVarintLen64]byte
 	put := func(v uint64) { out.Write(tmp[:binary.PutUvarint(tmp[:], v)]) }
+	putBlob := func(b []byte) { put(uint64(len(b))); out.Write(b) }
 	put(cursor)
+	var pending []byte
+	if w, open := windows.Pending(); open {
+		var err error
+		if pending, err = json.Marshal(w); err != nil {
+			return err
+		}
+	}
+	putBlob(pending)
 	put(uint64(len(systems)))
 	for i, sys := range systems {
 		ck, err := checkpoint.Capture(sys, signature(wl, machines[i], i, timed, p), cursor)
 		if err != nil {
 			return err
 		}
-		enc := ck.Encode()
-		put(uint64(len(enc)))
-		out.Write(enc)
+		putBlob(ck.Encode())
 	}
 	return writeFileAtomic(m.checkpointPath(j.id), out.Bytes())
 }
 
 // loadCheckpoint restores every system from the job's checkpoint container,
-// if one exists, returning the shared cursor.
-func (m *Manager) loadCheckpoint(j *job, machines []machine, wl tracegen.Config,
-	timed bool, p cycles.Params, systems []*system.System) (uint64, bool, error) {
+// if one exists, and resumes the window collector at machine 0's restored
+// reference count with the window the container holds open, returning the
+// shared cursor.
+func (m *Manager) loadCheckpoint(j *job, machines []machine, wl tracegen.Config, timed bool,
+	p cycles.Params, systems []*system.System, windows *probe.Windows) (uint64, bool, error) {
 	data, err := os.ReadFile(m.checkpointPath(j.id))
 	if errors.Is(err, os.ErrNotExist) {
 		return 0, false, nil
@@ -303,12 +309,22 @@ func (m *Manager) loadCheckpoint(j *job, machines []machine, wl tracegen.Config,
 		return 0, false, err
 	}
 	if !bytes.HasPrefix(data, ckMagic) {
-		return 0, false, fmt.Errorf("jobs: %s: bad checkpoint magic", m.checkpointPath(j.id))
+		return 0, false, fmt.Errorf("jobs: %s: bad checkpoint magic (want %q)", m.checkpointPath(j.id), ckMagic)
 	}
 	rd := bytes.NewReader(data[len(ckMagic):])
 	cursor, err := binary.ReadUvarint(rd)
 	if err != nil {
 		return 0, false, fmt.Errorf("jobs: checkpoint cursor: %w", err)
+	}
+	win, err := readBlob(rd)
+	if err != nil {
+		return 0, false, fmt.Errorf("jobs: checkpoint window: %w", err)
+	}
+	var pending probe.WindowMetrics
+	if len(win) > 0 {
+		if err := json.Unmarshal(win, &pending); err != nil {
+			return 0, false, fmt.Errorf("jobs: checkpoint window: %w", err)
+		}
 	}
 	count, err := binary.ReadUvarint(rd)
 	if err != nil {
@@ -318,13 +334,9 @@ func (m *Manager) loadCheckpoint(j *job, machines []machine, wl tracegen.Config,
 		return 0, false, fmt.Errorf("jobs: checkpoint has %d systems, job has %d", count, len(systems))
 	}
 	for i, sys := range systems {
-		n, err := binary.ReadUvarint(rd)
-		if err != nil || n > uint64(rd.Len()) {
-			return 0, false, fmt.Errorf("jobs: checkpoint entry %d length: %v", i, err)
-		}
-		enc := make([]byte, n)
-		if _, err := io.ReadFull(rd, enc); err != nil {
-			return 0, false, err
+		enc, err := readBlob(rd)
+		if err != nil {
+			return 0, false, fmt.Errorf("jobs: checkpoint entry %d: %w", i, err)
 		}
 		ck, err := checkpoint.Decode(enc)
 		if err != nil {
@@ -334,5 +346,20 @@ func (m *Manager) loadCheckpoint(j *job, machines []machine, wl tracegen.Config,
 			return 0, false, err
 		}
 	}
+	windows.Resume(systems[0].Refs(), pending, len(win) > 0)
 	return cursor, true, nil
+}
+
+// readBlob reads one uvarint-length-prefixed byte string of a container.
+func readBlob(rd *bytes.Reader) ([]byte, error) {
+	n, err := binary.ReadUvarint(rd)
+	if err != nil {
+		return nil, err
+	}
+	if n > uint64(rd.Len()) {
+		return nil, io.ErrUnexpectedEOF
+	}
+	b := make([]byte, n)
+	_, err = io.ReadFull(rd, b)
+	return b, err
 }

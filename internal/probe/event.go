@@ -7,10 +7,10 @@
 //
 // The design goal is near-zero overhead when disabled: every component
 // holds a *Probe that may be nil, and every emission site is guarded by a
-// single nil check. When enabled, events flow through lock-free per-CPU
-// ring buffers and are delivered to attached Sinks (a human-readable log,
-// a Chrome trace_event exporter, a windowed-metrics collector, ...) in
-// global emission order.
+// single nil check. When enabled, Emit hands each event straight to the
+// attached Sinks (a human-readable log, a Chrome trace_event exporter, a
+// windowed-metrics collector, ...), so they observe global emission order
+// with nothing buffered.
 package probe
 
 import (

@@ -1,7 +1,5 @@
 package probe
 
-import "sort"
-
 // Sink consumes events in global emission order. Sinks that also implement
 // `Close() error` are closed by Probe.Close.
 type Sink interface {
@@ -41,37 +39,21 @@ func (c Counts) Map() map[string]uint64 {
 	return m
 }
 
-// DefaultRingCapacity is the per-CPU ring size used when none is given.
-const DefaultRingCapacity = 4096
-
 // Probe is the event sink the simulator's components emit through. A nil
 // *Probe is valid and means "disabled": every method is safe to call and
 // does nothing, so the hot paths pay only a nil check.
 type Probe struct {
-	sinks   []Sink
-	rings   []*ring
-	ringCap int
-	scratch []Event // reused flush buffer
-	counts  Counts
-	seq     uint64
-	ref     uint64
+	sinks  []Sink
+	counts Counts
+	seq    uint64
+	ref    uint64
 }
 
-// New creates an enabled probe. ringCapacity is the per-CPU ring size
-// (rounded up to a power of two); 0 selects DefaultRingCapacity.
-func New(ringCapacity int) *Probe {
-	if ringCapacity <= 0 {
-		ringCapacity = DefaultRingCapacity
-	}
-	cap := 1
-	for cap < ringCapacity {
-		cap <<= 1
-	}
-	return &Probe{ringCap: cap}
-}
+// New creates an enabled probe.
+func New() *Probe { return &Probe{} }
 
-// AddSink attaches a sink. Sinks receive batches of events in global
-// emission order when the rings flush.
+// AddSink attaches a sink. Every event is delivered to the sinks in attach
+// order, from inside the Emit call that produced it.
 func (p *Probe) AddSink(s Sink) {
 	if p == nil || s == nil {
 		return
@@ -99,8 +81,7 @@ func (p *Probe) Ref() uint64 {
 	return p.ref
 }
 
-// Counts returns a copy of the per-kind tallies, including events still
-// buffered in the rings.
+// Counts returns a copy of the per-kind tallies.
 func (p *Probe) Counts() Counts {
 	if p == nil {
 		return Counts{}
@@ -109,8 +90,8 @@ func (p *Probe) Counts() Counts {
 }
 
 // Emit records one event, stamping its sequence number and reference
-// index. When the owning ring fills, every ring is flushed to the sinks in
-// sequence order first, so sinks always observe a globally ordered stream.
+// index, and hands it to every sink before returning, so sinks observe the
+// global emission order with no buffering.
 func (p *Probe) Emit(ev Event) {
 	if p == nil {
 		return
@@ -119,57 +100,17 @@ func (p *Probe) Emit(ev Event) {
 	ev.Seq = p.seq
 	ev.Ref = p.ref
 	p.counts[ev.Kind]++
-	r := p.ringFor(ev.CPU)
-	if !r.push(ev) {
-		p.flush()
-		r.push(ev)
-	}
-}
-
-// ringFor returns (growing on demand) the ring of bus agent id.
-func (p *Probe) ringFor(cpu int) *ring {
-	if cpu < 0 {
-		cpu = 0
-	}
-	for len(p.rings) <= cpu {
-		p.rings = append(p.rings, newRing(p.ringCap))
-	}
-	return p.rings[cpu]
-}
-
-// flush drains every ring and delivers the merged, sequence-ordered batch
-// to the sinks.
-func (p *Probe) flush() {
-	out := p.scratch[:0]
-	for _, r := range p.rings {
-		out = r.drain(out)
-	}
-	if len(out) == 0 {
-		return
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
 	for _, s := range p.sinks {
-		for _, ev := range out {
-			s.Event(ev)
-		}
-	}
-	p.scratch = out[:0]
-}
-
-// Flush delivers all buffered events to the sinks now.
-func (p *Probe) Flush() {
-	if p != nil {
-		p.flush()
+		s.Event(ev)
 	}
 }
 
-// Close flushes the rings and closes every sink that supports closing,
-// returning the first error.
+// Close closes every sink that supports closing, returning the first
+// error.
 func (p *Probe) Close() error {
 	if p == nil {
 		return nil
 	}
-	p.flush()
 	var first error
 	for _, s := range p.sinks {
 		if c, ok := s.(interface{ Close() error }); ok {

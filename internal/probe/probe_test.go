@@ -3,6 +3,7 @@ package probe
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -19,7 +20,6 @@ func TestNilProbeIsSafe(t *testing.T) {
 	p.Emit(Event{Kind: EvL1Hit})
 	p.AdvanceRef()
 	p.AddSink(&collect{})
-	p.Flush()
 	if p.Enabled() {
 		t.Error("nil probe reports enabled")
 	}
@@ -32,7 +32,7 @@ func TestNilProbeIsSafe(t *testing.T) {
 }
 
 func TestEmitStampsAndCounts(t *testing.T) {
-	p := New(8)
+	p := New()
 	sink := &collect{}
 	p.AddSink(sink)
 	p.AdvanceRef()
@@ -40,7 +40,6 @@ func TestEmitStampsAndCounts(t *testing.T) {
 	p.Emit(Event{CPU: 1, Kind: EvL2Hit, Access: stats.KindRead})
 	p.AdvanceRef()
 	p.Emit(Event{CPU: 0, Kind: EvL1Hit, Access: stats.KindWrite})
-	p.Flush()
 	if len(sink.evs) != 3 {
 		t.Fatalf("delivered %d events, want 3", len(sink.evs))
 	}
@@ -59,14 +58,13 @@ func TestEmitStampsAndCounts(t *testing.T) {
 }
 
 func TestRingOverflowFlushesInOrder(t *testing.T) {
-	p := New(4)
+	p := New()
 	sink := &collect{}
 	p.AddSink(sink)
-	// Interleave two CPUs well past the ring capacity.
+	// Interleave two CPUs: delivery follows emission order, not CPU.
 	for i := 0; i < 100; i++ {
 		p.Emit(Event{CPU: i % 2, Kind: EvBusRead})
 	}
-	p.Flush()
 	if len(sink.evs) != 100 {
 		t.Fatalf("delivered %d events, want 100", len(sink.evs))
 	}
@@ -75,37 +73,6 @@ func TestRingOverflowFlushesInOrder(t *testing.T) {
 			t.Fatalf("event %d out of order: seq %d", i, ev.Seq)
 		}
 	}
-}
-
-func TestRing(t *testing.T) {
-	r := newRing(4)
-	for i := 0; i < 4; i++ {
-		if !r.push(Event{Seq: uint64(i)}) {
-			t.Fatalf("push %d failed", i)
-		}
-	}
-	if r.push(Event{}) {
-		t.Error("push into full ring succeeded")
-	}
-	if r.len() != 4 {
-		t.Errorf("len = %d", r.len())
-	}
-	out := r.drain(nil)
-	if len(out) != 4 || out[0].Seq != 0 || out[3].Seq != 3 {
-		t.Errorf("drain = %v", out)
-	}
-	if r.len() != 0 || !r.push(Event{}) {
-		t.Error("ring not reusable after drain")
-	}
-}
-
-func TestRingBadCapacity(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("non-power-of-two capacity accepted")
-		}
-	}()
-	newRing(3)
 }
 
 func TestWindows(t *testing.T) {
@@ -156,7 +123,7 @@ func TestWindows(t *testing.T) {
 }
 
 func TestWindowsAsProbeSink(t *testing.T) {
-	p := New(8)
+	p := New()
 	w := NewWindows(4)
 	p.AddSink(w)
 	for i := 0; i < 10; i++ {
@@ -274,62 +241,94 @@ func TestKindStringsAndCategories(t *testing.T) {
 	}
 }
 
-// TestWindowsCloseApplied: the parking daemon's flush hook closes exactly
-// the windows whose whole span the reference cursor has passed — the
-// cycle-engine case where event emission trails the applied references and
-// the just-completed window would otherwise be lost at a shutdown.
-func TestWindowsCloseApplied(t *testing.T) {
-	w := NewWindows(10)
-	var closed []WindowMetrics
-	w.OnClose = func(m WindowMetrics) { closed = append(closed, m) }
-
-	// Events observed through ref 12, cursor already at 18: window 0
-	// (1-10) is fully applied and must close with its preset bounds;
-	// window 1 (11-20) is not and must stay open.
-	for ref := uint64(1); ref <= 12; ref++ {
-		w.Event(Event{Ref: ref, Kind: EvL1Hit})
+// TestWindowsResume: a collector resumed from Pending at any record
+// boundary — mid-window, on a window bound, just before a context switch's
+// pre-reference events — closes exactly the windows one uninterrupted
+// collector closes.
+func TestWindowsResume(t *testing.T) {
+	// A record is one trace record's events: a reference (the probe
+	// advances its index first) or a context switch (no new index), whose
+	// eager write-back lands at the previous reference.
+	type record struct {
+		ref  bool
+		kind Kind
 	}
-	w.CloseApplied(18)
-	if len(closed) != 1 {
-		t.Fatalf("closed %d windows, want 1", len(closed))
-	}
-	if closed[0].Seq != 0 || closed[0].FirstRef != 1 || closed[0].LastRef != 10 {
-		t.Errorf("closed window = %+v, want seq 0 spanning 1-10", closed[0])
-	}
-	if closed[0].L1Hits != 10 {
-		t.Errorf("closed window hits = %d, want 10", closed[0].L1Hits)
-	}
-	// Idempotent while nothing new completes.
-	w.CloseApplied(18)
-	if len(closed) != 1 {
-		t.Fatalf("second CloseApplied closed more windows: %d", len(closed))
-	}
-	// Cursor past several window bounds: every fully-applied window closes,
-	// in order, with tiling bounds (the lag case spans > one window).
-	w.CloseApplied(41)
-	if len(closed) != 4 {
-		t.Fatalf("closed %d windows, want 4 (seqs 0-3)", len(closed))
-	}
-	for i, m := range closed {
-		if m.Seq != uint64(i) || m.FirstRef != uint64(i)*10+1 || m.LastRef != uint64(i+1)*10 {
-			t.Errorf("closed[%d] = %+v, want seq %d spanning %d-%d",
-				i, m, i, i*10+1, (i+1)*10)
+	var recs []record
+	for i := 1; i <= 25; i++ {
+		if i%7 == 0 {
+			recs = append(recs, record{false, EvWriteBack})
 		}
+		k := EvL1Hit
+		if i%3 == 0 {
+			k = EvL1Miss
+		}
+		recs = append(recs, record{true, k})
 	}
-	// Events that straggle in afterwards fold into the open successor
-	// window rather than resurrecting a closed one.
-	w.Event(Event{Ref: 13, Kind: EvL1Miss})
-	if err := w.Close(); err != nil {
+	// feed stamps each event with the reference index a probe created with
+	// the collector would carry, and returns the references fed.
+	feed := func(w *Windows, recs []record) uint64 {
+		var ref uint64
+		for _, r := range recs {
+			if r.ref {
+				ref++
+			}
+			w.Event(Event{Ref: ref, Kind: r.kind})
+		}
+		return ref
+	}
+	whole := NewWindows(10)
+	feed(whole, recs)
+	if err := whole.Close(); err != nil {
 		t.Fatal(err)
 	}
-	last := closed[len(closed)-1]
-	if last.Seq != 4 || last.L1Misses != 1 {
-		t.Errorf("trailing window = %+v, want seq 4 carrying the straggler", last)
+	want := whole.Done()
+	if len(want) != 3 || want[2].LastRef != 25 {
+		t.Fatalf("uninterrupted windows = %+v", want)
 	}
-	// No events at all: nothing to close.
-	w2 := NewWindows(10)
-	w2.CloseApplied(100)
-	if got := len(w2.Done()); got != 0 {
-		t.Errorf("empty collector closed %d windows", got)
+
+	for cut := 0; cut <= len(recs); cut++ {
+		var got []WindowMetrics
+		first := NewWindows(10)
+		first.OnClose = func(m WindowMetrics) { got = append(got, m) }
+		base := feed(first, recs[:cut])
+		pending, open := first.Pending()
+
+		second := NewWindows(10)
+		second.OnClose = first.OnClose
+		second.Resume(base, pending, open)
+		feed(second, recs[cut:])
+		if err := second.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("resumed after record %d (ref %d):\n got %+v\nwant %+v", cut, base, got, want)
+		}
+	}
+}
+
+// BenchmarkProbeEmit measures the probe layer alone: ns/op is the cost of
+// stamping, counting and delivering one event, with events interleaved
+// across 4 CPUs, first with no sink attached and then with the windowed
+// metrics collector every vrsimd job carries.
+func BenchmarkProbeEmit(b *testing.B) {
+	kinds := [...]Kind{EvL1Hit, EvTLBAbort, EvL1Hit, EvTimeAccess, EvL1Miss, EvL2Hit, EvBusRead, EvTimeAccess}
+	for _, bc := range []struct {
+		name    string
+		windows bool
+	}{{"nosink", false}, {"windows", true}} {
+		b.Run(bc.name, func(b *testing.B) {
+			p := New()
+			if bc.windows {
+				p.AddSink(NewWindows(1000))
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if i%len(kinds) == 0 {
+					p.AdvanceRef()
+				}
+				p.Emit(Event{CPU: i & 3, Kind: kinds[i%len(kinds)], Aux: 4})
+			}
+		})
 	}
 }

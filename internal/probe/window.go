@@ -5,10 +5,10 @@ package probe
 // evolve across a trace rather than only at the end of the run.
 //
 // Seq and StartRef are the window's absolute position in the workload's
-// reference stream: unlike Index/FirstRef (which restart with the probe),
-// they stay aligned across daemon restarts when the collector is given the
-// resume point via SetBase, so time-series samples from different daemon
-// lifetimes of one job key to the same window sequence.
+// reference stream: they stay aligned across daemon restarts when the
+// collector is given the resume point via Resume, so time-series samples
+// from different daemon lifetimes of one job key to the same window
+// sequence.
 type WindowMetrics struct {
 	Index    int    `json:"window"`
 	Seq      uint64 `json:"seq"`      // absolute window sequence number
@@ -87,7 +87,7 @@ func (w WindowMetrics) Tacc() float64 {
 type Windows struct {
 	every   uint64
 	base    uint64 // absolute reference offset (resume point)
-	last    uint64 // newest reference index seen (probe-local)
+	last    uint64 // newest absolute reference index seen
 	cur     WindowMetrics
 	open    bool
 	done    []WindowMetrics
@@ -106,21 +106,30 @@ func NewWindows(every uint64) *Windows {
 // Every returns the window length.
 func (w *Windows) Every() uint64 { return w.every }
 
-// SetBase positions the collector at an absolute reference offset: the
+// Pending returns the open window, with the counts folded into it so far,
+// and whether one is open. A checkpoint stores it so that the resumed
+// collector finishes the window instead of restarting it from zero.
+func (w *Windows) Pending() (WindowMetrics, bool) { return w.cur, w.open }
+
+// Resume positions the collector at an absolute reference offset and
+// reopens the window Pending returned there (none when open is false): the
 // probe's next reference 1 corresponds to absolute reference base+1. A
-// restarted job sets this to the refs already simulated at its checkpoint
-// so window sequence numbers continue where the previous daemon lifetime
-// left off. Call it before any event arrives.
-func (w *Windows) SetBase(base uint64) { w.base = base }
+// restarted job passes the refs already simulated at its checkpoint, so
+// window sequence numbers and counts continue where the previous daemon
+// lifetime left off. Call it before any event arrives.
+func (w *Windows) Resume(base uint64, pending WindowMetrics, open bool) {
+	w.base, w.last = base, base
+	w.cur, w.open = pending, open
+}
 
 // Event implements Sink.
 func (w *Windows) Event(ev Event) {
-	aref := w.base + 1 // ref 0 events (pre-reference) land in the current window
-	if ev.Ref > 0 {
-		aref = w.base + ev.Ref
-		if ev.Ref > w.last {
-			w.last = ev.Ref
-		}
+	aref := w.base + ev.Ref
+	if aref > w.last {
+		w.last = aref
+	}
+	if aref == 0 {
+		aref = 1 // pre-reference events land in the first window
 	}
 	idx := int((aref - 1) / w.every)
 	if !w.open || idx > w.cur.Index {
@@ -174,28 +183,12 @@ func (w *Windows) roll(idx int) {
 	w.open = true
 }
 
-// CloseApplied closes every window whose whole span lies within the first
-// applied absolute references — the parking daemon's flush hook. With a
-// cycle engine attached, probe events can trail the reference cursor
-// (operations retire after the references that issued them), so at a
-// shutdown the window that just completed may still be open awaiting its
-// stragglers. Closing it here keeps the persisted series gap-free across a
-// restart; the trailing events are re-emitted by the restored engine in
-// the next daemon lifetime and fold into the successor window. A window
-// whose span is not yet fully applied stays open: the resumed lifetime
-// recomputes it from the references it replays.
-func (w *Windows) CloseApplied(applied uint64) {
-	for w.open && w.cur.LastRef <= applied {
-		w.roll(w.cur.Index + 1)
-	}
-}
-
 // Close finalizes the trailing partial window, clamping its bound to the
 // last reference actually seen so per-reference rates stay honest.
 func (w *Windows) Close() error {
 	if w.open {
-		if w.last > 0 && w.base+w.last < w.cur.LastRef {
-			w.cur.LastRef = w.base + w.last
+		if w.last > 0 && w.last < w.cur.LastRef {
+			w.cur.LastRef = w.last
 		}
 		w.done = append(w.done, w.cur)
 		if w.OnClose != nil {

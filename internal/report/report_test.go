@@ -159,7 +159,7 @@ func TestProbeSection(t *testing.T) {
 		PageSize:     64,
 		L1:           cache.Geometry{Size: 128, Block: 16, Assoc: 1},
 		L2:           cache.Geometry{Size: 512, Block: 32, Assoc: 2},
-		Probe:        probe.New(0),
+		Probe:        probe.New(),
 	}
 	windows := probe.NewWindows(2)
 	cfg.Probe.AddSink(windows)

@@ -102,10 +102,11 @@ type Config struct {
 	Probe *probe.Probe
 	// ProbeEphemeral marks the attached Probe as observational-only for
 	// checkpointing purposes. Export/RestoreState normally refuse a
-	// machine with a probe because the probe's internal cursors (ring
-	// positions, window boundaries, the reference counter) are not
-	// serialized; with ProbeEphemeral set the caller accepts that a
-	// restored run's observability output restarts from zero. Simulated
+	// machine with a probe because the probe's internal cursors (window
+	// boundaries, the reference counter) are not serialized; with
+	// ProbeEphemeral set the caller accepts that a restored run's
+	// observability output restarts from zero, or saves what it needs
+	// itself (the job server carries its open progress window). Simulated
 	// state — and therefore the statistics report — is unaffected either
 	// way. The job server uses this to stream progress windows from
 	// checkpointable jobs whose reports exclude the probe section.

@@ -42,11 +42,6 @@ type RecorderConfig struct {
 	// dumped without an audit snapshot in hand (latency and on-demand
 	// triggers). It runs on the simulation goroutine.
 	Snapshot func() *audit.Snapshot
-	// Probe, when set, is flushed before an audit-triggered dump so the
-	// rings hold the events immediately preceding the violation. It must
-	// not be flushed from inside Event (reentrancy), and the recorder
-	// never does.
-	Probe *probe.Probe
 }
 
 // BundleEvent is one ring event in a post-mortem bundle, with the kind and
@@ -214,18 +209,12 @@ func (r *Recorder) OnAudit(snap *audit.Snapshot, found []audit.Violation) {
 	if len(found) == 0 {
 		return
 	}
-	if r.cfg.Probe != nil {
-		r.cfg.Probe.Flush() // pull the events leading up to the violation into the rings
-	}
 	r.dump("audit-violation", fmt.Sprintf("%d violation(s), first: %s", len(found), found[0]), snap, found)
 }
 
 // Dump captures a bundle on demand from the simulation goroutine and
 // returns its JSON encoding.
 func (r *Recorder) Dump(detail string) ([]byte, error) {
-	if r.cfg.Probe != nil {
-		r.cfg.Probe.Flush()
-	}
 	return r.dump("on-demand", detail, nil, nil)
 }
 

@@ -86,7 +86,7 @@ func benchRun(b *testing.B, sinks func(sc system.Config, tc tracegen.Config) []p
 	b.Helper()
 	tc := tracegen.PopsLike().Scaled(0.02)
 	for i := 0; i < b.N; i++ {
-		pr := probe.New(0)
+		pr := probe.New()
 		p := cycles.ContentionParams()
 		p.TLBMissPenalty = 8
 		eng := cycles.MustNew(p, pr)

@@ -28,7 +28,7 @@ func timingParams() cycles.Params {
 // profiler attached and returns the profiler and the engine it must match.
 func runAttributed(t *testing.T, tc tracegen.Config, org system.Organization) (*telemetry.Attribution, *cycles.Engine) {
 	t.Helper()
-	pr := probe.New(0)
+	pr := probe.New()
 	eng := cycles.MustNew(timingParams(), pr)
 	sc := system.Config{
 		CPUs:         tc.CPUs,

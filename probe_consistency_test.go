@@ -92,7 +92,7 @@ func timingParams() vrsim.CycleParams {
 
 func checkConsistency(t *testing.T, cfg vrsim.Config) {
 	t.Helper()
-	pr := probe.New(64) // tiny rings force frequent merged flushes
+	pr := probe.New() // the sink tallies each event inside the Emit that produced it
 	sink := &tallySink{cpus: map[int]*cpuTally{}}
 	pr.AddSink(sink)
 	cfg.Probe = pr
@@ -111,7 +111,6 @@ func checkConsistency(t *testing.T, cfg vrsim.Config) {
 	if err := vrsim.RunWorkload(sys, wl); err != nil {
 		t.Fatal(err)
 	}
-	pr.Flush()
 	verifyEventsMatchStats(t, cfg, sys, pr, sink)
 }
 
@@ -267,7 +266,7 @@ func TestProbeEventsMatchStatsBatched(t *testing.T) {
 	newProbed := func() (vrsim.Config, *probe.Probe, *tallySink) {
 		cfg := probeTestConfig(vrsim.VR)
 		cfg.CPUs = wl.CPUs
-		pr := probe.New(64)
+		pr := probe.New()
 		sink := &tallySink{cpus: map[int]*cpuTally{}}
 		pr.AddSink(sink)
 		cfg.Probe = pr
@@ -280,7 +279,7 @@ func TestProbeEventsMatchStatsBatched(t *testing.T) {
 	}
 
 	// Sequential reference run.
-	refCfg, refPr, refSink := newProbed()
+	refCfg, _, refSink := newProbed()
 	refSys, err := vrsim.New(refCfg)
 	if err != nil {
 		t.Fatal(err)
@@ -288,7 +287,6 @@ func TestProbeEventsMatchStatsBatched(t *testing.T) {
 	if err := vrsim.RunWorkload(refSys, wl); err != nil {
 		t.Fatal(err)
 	}
-	refPr.Flush()
 
 	// Two identical machines driven by one trace pass through the sweep.
 	const n = 2
@@ -316,7 +314,6 @@ func TestProbeEventsMatchStatsBatched(t *testing.T) {
 	}
 
 	for i, sys := range systems {
-		prs[i].Flush()
 		verifyEventsMatchStats(t, cfgs[i], sys, prs[i], sinks[i])
 		if got, want := len(sinks[i].cpus), len(refSink.cpus); got != want {
 			t.Errorf("system %d: events from %d CPUs, reference saw %d", i, got, want)

@@ -220,9 +220,9 @@ type (
 	ChromeTrace = probe.ChromeTrace
 )
 
-// NewProbe creates an enabled probe; ringCapacity 0 selects the default
-// per-CPU buffer size.
-func NewProbe(ringCapacity int) *Probe { return probe.New(ringCapacity) }
+// NewProbe creates an enabled probe. Each event reaches the attached sinks
+// inside the call that emits it.
+func NewProbe() *Probe { return probe.New() }
 
 // NewEventLog creates a line-oriented event log sink; filter may be nil.
 func NewEventLog(w io.Writer, filter func(Event) bool) *EventLog {
