@@ -30,6 +30,7 @@ go test -run '^$' -fuzz '^FuzzBinaryRoundTrip$' -fuzztime 10s ./internal/trace
 go test -run '^$' -fuzz '^FuzzTextParse$' -fuzztime 10s ./internal/trace
 go test -run '^$' -fuzz '^FuzzCheckpointRoundTrip$' -fuzztime 10s ./internal/checkpoint
 go test -run '^$' -fuzz '^FuzzJobConfigDecode$' -fuzztime 10s ./internal/jobs
+go test -run '^$' -fuzz '^FuzzConfigValidate$' -fuzztime 10s ./internal/system
 
 echo "== coverage floors (internal/checkpoint, internal/stats, internal/jobs, internal/tsdb, internal/victim, internal/rlt, internal/probe, internal/telemetry)"
 for pkg in internal/checkpoint internal/stats internal/jobs internal/tsdb internal/victim internal/rlt \

@@ -100,14 +100,14 @@ func main() {
 }
 
 func run(o options) error {
-	want, baseCPUs, err := baselineRefsPerSec(o.baseline, o.config)
+	want, baseCPUs, err := baselineRefsPerSec(o.baseline, o.config, runtime.NumCPU())
 	if err != nil {
 		return err
 	}
 	// Throughput on N cores is not comparable to a baseline recorded on M:
-	// the gate would fail (or pass) on hardware, not on the code. Refuse the
-	// diff, but still run and record the measurement so the trajectory keeps
-	// a per-host record.
+	// the gate would fail (or pass) on hardware, not on the code. With no
+	// baseline for this core count, refuse the diff, but still run and
+	// record the measurement so the trajectory keeps a per-host record.
 	skipped := ""
 	if baseCPUs != 0 && baseCPUs != runtime.NumCPU() {
 		skipped = fmt.Sprintf("baseline recorded on %d CPUs, this host has %d",
@@ -272,8 +272,9 @@ func measureJobLatency(count int) (float64, error) {
 
 // baselineRefsPerSec reads the recorded aggregate throughput for one
 // sub-benchmark from the baseline file, along with the core count the
-// baseline was measured on (0 when the file predates that field).
-func baselineRefsPerSec(path, config string) (float64, int, error) {
+// baseline was measured on (0 when the file predates that field). A
+// baseline recorded on cpus cores wins over the file's primary one.
+func baselineRefsPerSec(path, config string, cpus int) (float64, int, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return 0, 0, err
@@ -281,9 +282,14 @@ func baselineRefsPerSec(path, config string) (float64, int, error) {
 	var doc struct {
 		Sweep  map[string]float64 `json:"BenchmarkSweepNConfigs_aggregate_refs_per_sec"`
 		NumCPU int                `json:"numCPU"`
+		// ByNumCPU holds baselines recorded on other core counts.
+		ByNumCPU map[int]map[string]float64 `json:"BenchmarkSweepNConfigs_aggregate_refs_per_sec_by_numCPU"`
 	}
 	if err := json.Unmarshal(data, &doc); err != nil {
 		return 0, 0, fmt.Errorf("%s: %w", path, err)
+	}
+	if want := doc.ByNumCPU[cpus][config]; want > 0 {
+		return want, cpus, nil
 	}
 	want, ok := doc.Sweep[config]
 	if !ok || want <= 0 {

@@ -40,18 +40,27 @@ func TestBestRefsPerSec(t *testing.T) {
 
 func TestBaselineRefsPerSec(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "bench.json")
-	doc := `{"BenchmarkSweepNConfigs_aggregate_refs_per_sec": {"6": 6619246}, "numCPU": 1}`
+	doc := `{"BenchmarkSweepNConfigs_aggregate_refs_per_sec": {"6": 6619246}, "numCPU": 1,
+		"BenchmarkSweepNConfigs_aggregate_refs_per_sec_by_numCPU": {"2": {"6": 9000000}}}`
 	if err := os.WriteFile(path, []byte(doc), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	got, cpus, err := baselineRefsPerSec(path, "6")
+	got, cpus, err := baselineRefsPerSec(path, "6", 1)
 	if err != nil || got != 6619246 || cpus != 1 {
 		t.Fatalf("got %v on %d CPUs, %v", got, cpus, err)
 	}
-	if _, _, err := baselineRefsPerSec(path, "99"); err == nil {
+	// A baseline keyed by this host's core count wins; other hosts fall
+	// back to the primary one and its core count (so the gate skips).
+	if got, cpus, err := baselineRefsPerSec(path, "6", 2); err != nil || got != 9000000 || cpus != 2 {
+		t.Fatalf("2-CPU baseline: got %v on %d CPUs, %v", got, cpus, err)
+	}
+	if got, cpus, err := baselineRefsPerSec(path, "6", 8); err != nil || got != 6619246 || cpus != 1 {
+		t.Fatalf("8-CPU host: got %v on %d CPUs, %v", got, cpus, err)
+	}
+	if _, _, err := baselineRefsPerSec(path, "99", 1); err == nil {
 		t.Fatal("missing config must be an error")
 	}
-	if _, _, err := baselineRefsPerSec(filepath.Join(t.TempDir(), "nope.json"), "6"); err == nil {
+	if _, _, err := baselineRefsPerSec(filepath.Join(t.TempDir(), "nope.json"), "6", 1); err == nil {
 		t.Fatal("missing file must be an error")
 	}
 	// A baseline file without the core-count field (an older repo state)
@@ -60,7 +69,7 @@ func TestBaselineRefsPerSec(t *testing.T) {
 	if err := os.WriteFile(old, []byte(`{"BenchmarkSweepNConfigs_aggregate_refs_per_sec": {"6": 1}}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, cpus, err := baselineRefsPerSec(old, "6"); err != nil || cpus != 0 {
+	if _, cpus, err := baselineRefsPerSec(old, "6", 1); err != nil || cpus != 0 {
 		t.Fatalf("legacy baseline: cpus=%d err=%v", cpus, err)
 	}
 }

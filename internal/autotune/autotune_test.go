@@ -148,25 +148,25 @@ func TestLegalRejectsSynonymMisuse(t *testing.T) {
 		TLBAssoc:      2,
 		WriteBufDepth: 1,
 	}
-	if !legal(base) {
+	if base.Validate() != nil {
 		t.Fatal("baseline config not legal")
 	}
 	c := base
 	c.RLTEntries = 16
-	if legal(c) {
+	if c.Validate() == nil {
 		t.Error("RLT entries on a vr organization accepted")
 	}
 	c.Organization = system.VRRLT
-	if !legal(c) {
-		t.Error("RLT entries on the rlt organization rejected")
+	if err := c.Validate(); err != nil {
+		t.Errorf("RLT entries on the rlt organization rejected: %v", err)
 	}
 	c.RLTEntries = 12
-	if legal(c) {
-		t.Error("non-power-of-two RLT entry count accepted")
+	if c.Validate() == nil {
+		t.Error("RLT entry count with a non-power-of-two set count accepted")
 	}
 	c = base
 	c.VictimEntries = -1
-	if legal(c) {
+	if c.Validate() == nil {
 		t.Error("negative victim entries accepted")
 	}
 }

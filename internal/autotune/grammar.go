@@ -24,9 +24,8 @@ import (
 // axes default to a single paper-typical value, so the zero grammar is
 // small but valid.
 type Grammar struct {
-	// Organizations are hierarchy tokens: "vr", "rr", "rrnoincl", the
-	// reverse-lookup-table synonym scheme "rlt", and the write-through
-	// first-level variants "vr-wt" and "rr-wt".
+	// Organizations are organization names, the ones vrsim's -org takes
+	// (see system.ParseOrganization). Default {"vr"}.
 	Organizations []string `json:"organizations"`
 
 	L1Sizes  []uint64 `json:"l1Sizes"`  // bytes; default {16K}
@@ -45,8 +44,8 @@ type Grammar struct {
 	TLBEntries []int `json:"tlbEntries"` // default {64}
 	TLBAssocs  []int `json:"tlbAssocs"`  // default {2}
 
-	// Policies are replacement policies applied to both levels: "lru",
-	// "fifo", "random". Default {"lru"}.
+	// Policies are replacement policy names (see cache.ParsePolicy)
+	// applied to both levels. Default {"lru"}.
 	Policies []string `json:"policies"`
 
 	// VictimEntries are victim-cache sizes in blocks; 0 means no victim
@@ -90,45 +89,11 @@ func orDefaultStr(vs []string, d string) []string {
 	return vs
 }
 
-// organization resolves a grammar token to (organization, write-through).
-func organization(tok string) (system.Organization, bool, error) {
-	switch tok {
-	case "vr":
-		return system.VR, false, nil
-	case "rr":
-		return system.RRInclusion, false, nil
-	case "rrnoincl":
-		return system.RRNoInclusion, false, nil
-	case "rlt":
-		return system.VRRLT, false, nil
-	case "vr-wt":
-		return system.VR, true, nil
-	case "rr-wt":
-		return system.RRInclusion, true, nil
-	default:
-		return 0, false, fmt.Errorf("autotune: unknown organization %q", tok)
-	}
-}
-
-func policy(tok string) (cache.Policy, error) {
-	switch tok {
-	case "lru", "":
-		return cache.LRU, nil
-	case "fifo":
-		return cache.FIFO, nil
-	case "random":
-		return cache.Random, nil
-	default:
-		return 0, fmt.Errorf("autotune: unknown policy %q", tok)
-	}
-}
-
 // Expand takes the grammar's cross product for a machine with cpus
-// processors and pageSize-byte pages, dropping combinations that do not
-// form a legal hierarchy (a level smaller than one set, an L1 at least as
-// large as its L2, a TLB wider than its entry count). Candidates come out
-// in deterministic axis-major order with unique labels; expanding the same
-// grammar twice yields the identical slice.
+// processors and pageSize-byte pages, keeping exactly the combinations
+// system.Config.Validate accepts. Candidates come out in deterministic
+// axis-major order with unique labels; expanding the same grammar twice
+// yields the identical slice.
 func (g Grammar) Expand(cpus int, pageSize uint64) ([]Candidate, error) {
 	orgs := orDefaultStr(g.Organizations, "vr")
 	l1Sizes := orDefaultU64(g.L1Sizes, 16<<10)
@@ -146,17 +111,24 @@ func (g Grammar) Expand(cpus int, pageSize uint64) ([]Candidate, error) {
 	policies := orDefaultStr(g.Policies, "lru")
 	victims := orDefaultInt(g.VictimEntries, 0)
 	rltSizes := orDefaultInt(g.RLTEntries, 0)
+	for _, k := range ratios {
+		// The axis spells B2 = k·B1; a k that is no power of two is a
+		// malformed grammar, not a machine to drop.
+		if k < 1 || !addr.IsPow2(uint64(k)) {
+			return nil, fmt.Errorf("autotune: block ratio %d is not a positive power of two", k)
+		}
+	}
 
 	var out []Candidate
 	for _, orgTok := range orgs {
-		org, wt, err := organization(orgTok)
+		org, wt, err := system.ParseOrganization(orgTok)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("autotune: %w", err)
 		}
 		for _, pol := range policies {
-			p, err := policy(pol)
+			p, err := cache.ParsePolicy(pol)
 			if err != nil {
-				return nil, err
+				return nil, fmt.Errorf("autotune: %w", err)
 			}
 			for _, l1s := range l1Sizes {
 				for _, l1a := range l1Assocs {
@@ -168,9 +140,6 @@ func (g Grammar) Expand(cpus int, pageSize uint64) ([]Candidate, error) {
 										for _, ta := range tlbAssocs {
 											for _, vc := range victims {
 												for _, re := range rltSizes {
-													if k < 1 || !addr.IsPow2(uint64(k)) {
-														return nil, fmt.Errorf("autotune: block ratio %d is not a positive power of two", k)
-													}
 													if org != system.VRRLT && re != 0 {
 														// The RLT axis only exists on the
 														// rlt organization; drop rather than
@@ -192,7 +161,7 @@ func (g Grammar) Expand(cpus int, pageSize uint64) ([]Candidate, error) {
 														VictimEntries:  vc,
 														RLTEntries:     re,
 													}
-													if !legal(cfg) {
+													if cfg.Validate() != nil {
 														continue
 													}
 													label := fmt.Sprintf("%s/%s/L1=%s/L2=%s/wb=%d/tlb=%dx%d",
@@ -220,42 +189,6 @@ func (g Grammar) Expand(cpus int, pageSize uint64) ([]Candidate, error) {
 		out[i].Bits = SRAMBits(out[i].Config)
 	}
 	return out, nil
-}
-
-// legal reports whether the combination forms a machine the simulator
-// accepts: valid geometries, an L2 strictly larger than the L1 with a
-// block at least as large, and a TLB no wider than its entry count.
-func legal(cfg system.Config) bool {
-	if cfg.L1.Validate() != nil || cfg.L2.Validate() != nil {
-		return false
-	}
-	if cfg.L2.Size <= cfg.L1.Size || cfg.L2.Block < cfg.L1.Block {
-		return false
-	}
-	if cfg.TLBAssoc > cfg.TLBEntries || cfg.TLBEntries <= 0 || cfg.TLBAssoc <= 0 {
-		return false
-	}
-	if !addr.IsPow2(uint64(cfg.TLBEntries)) || !addr.IsPow2(uint64(cfg.TLBAssoc)) {
-		return false
-	}
-	if cfg.WriteBufDepth < 1 {
-		return false
-	}
-	if cfg.VictimEntries < 0 {
-		return false
-	}
-	if cfg.RLTEntries != 0 {
-		if cfg.Organization != system.VRRLT {
-			return false
-		}
-		// rlt.New demands a power-of-two set count; with the default
-		// associativity (clamped to the entry count) any power-of-two
-		// entry count satisfies it.
-		if cfg.RLTEntries < 0 || !addr.IsPow2(uint64(cfg.RLTEntries)) {
-			return false
-		}
-	}
-	return true
 }
 
 // PaperGrammar is the default search space: the paper's Tables 6-11 axes

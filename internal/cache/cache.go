@@ -12,6 +12,7 @@ package cache
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 
 	"repro/internal/addr"
 )
@@ -38,6 +39,20 @@ func (p Policy) String() string {
 	default:
 		return fmt.Sprintf("Policy(%d)", int(p))
 	}
+}
+
+// ParsePolicy resolves a policy name ("lru", "fifo", "random", in any
+// case). It is the one parser of policy names: job specs and autotune
+// grammars both resolve through it.
+func ParsePolicy(s string) (Policy, error) {
+	var names []string
+	for p := LRU; p <= Random; p++ {
+		if strings.EqualFold(s, p.String()) {
+			return p, nil
+		}
+		names = append(names, strings.ToLower(p.String()))
+	}
+	return 0, fmt.Errorf("unknown policy %q (%s)", s, strings.Join(names, ", "))
 }
 
 // Geometry describes a cache's shape. All sizes are in bytes and must be

@@ -215,7 +215,9 @@ func (p Protocol) String() string {
 	}
 }
 
-// Options configures a hierarchy.
+// Options configures a hierarchy. Every field is taken as given: which
+// combinations form a machine is system.Config.Validate's call, and the
+// system supplies the defaults.
 type Options struct {
 	MMU *vm.MMU
 	Bus *bus.Bus
@@ -225,8 +227,8 @@ type Options struct {
 	Split bool           // split L1 into equal I and D caches
 	L2    cache.Geometry
 
-	TLBEntries int // default 64
-	TLBAssoc   int // default 2
+	TLBEntries int
+	TLBAssoc   int
 
 	// L1Policy and L2Policy select each level's replacement policy (the
 	// zero value is LRU, the paper's choice). PolicySeed seeds Random
@@ -236,17 +238,16 @@ type Options struct {
 	L2Policy   cache.Policy
 	PolicySeed int64
 
-	WriteBufDepth   int    // default 1 (the paper's single swapped write-back buffer)
-	WriteBufLatency uint64 // references until a buffered write-back drains; default 4
+	WriteBufDepth   int    // write-back buffer entries
+	WriteBufLatency uint64 // references until a buffered write-back drains
 
 	// EagerCtxFlush disables the swapped-valid scheme: context switches
 	// write every dirty line back immediately (the ablation the paper's
-	// Table 3 argues against). V-R only.
+	// Table 3 argues against).
 	EagerCtxFlush bool
 
 	// PIDTagged widens every V-cache tag with the process identifier — the
-	// Section 2 alternative to flushing on context switches. V-R only;
-	// mutually exclusive with EagerCtxFlush.
+	// Section 2 alternative to flushing on context switches.
 	PIDTagged bool
 
 	// Protocol selects the coherence protocol (default WriteInvalidate).
@@ -260,22 +261,21 @@ type Options struct {
 	// no-write-allocate policy the paper's Section 2 examines and rejects:
 	// every write goes down to the R-cache (through a bounded buffer whose
 	// stalls are counted), first-level lines are never dirty, and write
-	// misses do not allocate. Incompatible with WriteUpdate.
+	// misses do not allocate.
 	L1WriteThrough bool
 
 	// VictimEntries, when positive, inserts a small fully-associative
 	// victim cache (Jouppi style) between the levels: first-level victims
 	// are parked there and a first-level miss that finds its block parked
 	// is charged TVictim instead of the second-level time. Purely a timing
-	// layer — the data a reference observes never changes. Any
-	// organization may enable it.
+	// layer — the data a reference observes never changes.
 	VictimEntries int
 
 	// RLTEntries, when positive, replaces the paper's per-subentry
 	// v-pointer synonym mechanism with a bounded reverse-lookup table of
 	// that many entries (internal/rlt): smaller SRAM state, but table
-	// capacity evictions force first-level lines out. V-R only. RLTAssoc
-	// selects the table's associativity (0: rlt.DefaultAssoc).
+	// capacity evictions force first-level lines out. RLTAssoc selects the
+	// table's associativity (0: rlt.DefaultAssoc).
 	RLTEntries int
 	RLTAssoc   int
 
@@ -298,63 +298,30 @@ type Options struct {
 	Tokens *TokenSource
 }
 
-// mustRCache builds a second-level cache from the options' L2 policy, with
+// newRCache builds a second-level cache from the options' L2 policy, with
 // its Random-replacement stream offset away from the first level's.
-func mustRCache(o Options) *rcache.RCache {
+func newRCache(o Options) (*rcache.RCache, error) {
 	r, err := rcache.NewWithPolicy(o.L2, o.L1.Block, o.L2Policy, o.PolicySeed+100)
 	if err != nil {
-		panic(err)
+		return nil, fmt.Errorf("core: L2: %w", err)
 	}
-	return r
+	return r, nil
 }
 
-func (o *Options) applyDefaults() {
-	if o.TLBEntries == 0 {
-		o.TLBEntries = 64
-	}
-	if o.TLBAssoc == 0 {
-		o.TLBAssoc = 2
-	}
-	if o.WriteBufDepth == 0 {
-		o.WriteBufDepth = 1
-	}
-	if o.WriteBufLatency == 0 {
-		o.WriteBufLatency = 4
-	}
+// prepare defaults the token source and checks what only the hierarchy can:
+// that it is wired to a machine, and that memory holds first-level blocks.
+// Whether the options form a legal machine is system.Config.Validate's
+// call; the components' constructors reject shapes they cannot build.
+func (o *Options) prepare() error {
 	if o.Tokens == nil {
 		o.Tokens = &TokenSource{}
 	}
-}
-
-func (o *Options) validate() error {
 	if o.MMU == nil || o.Bus == nil || o.Mem == nil {
 		return fmt.Errorf("core: MMU, Bus and Mem are required")
-	}
-	if err := o.L1.Validate(); err != nil {
-		return fmt.Errorf("core: L1: %w", err)
-	}
-	if err := o.L2.Validate(); err != nil {
-		return fmt.Errorf("core: L2: %w", err)
-	}
-	if o.L2.Block < o.L1.Block {
-		return fmt.Errorf("core: L2 block (%d) smaller than L1 block (%d)", o.L2.Block, o.L1.Block)
 	}
 	if o.Mem.Granularity() != o.L1.Block {
 		return fmt.Errorf("core: memory granularity %d != L1 block %d",
 			o.Mem.Granularity(), o.L1.Block)
-	}
-	if o.Split {
-		half := o.L1
-		half.Size /= 2
-		if err := half.Validate(); err != nil {
-			return fmt.Errorf("core: split L1 half: %w", err)
-		}
-	}
-	if o.VictimEntries < 0 {
-		return fmt.Errorf("core: VictimEntries must be non-negative, got %d", o.VictimEntries)
-	}
-	if o.RLTEntries < 0 {
-		return fmt.Errorf("core: RLTEntries must be non-negative, got %d", o.RLTEntries)
 	}
 	return nil
 }

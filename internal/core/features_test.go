@@ -56,23 +56,6 @@ func TestPIDTagsNoWriteBackBurst(t *testing.T) {
 
 func addr16(i int) addr.VAddr { return addr.VAddr(i) * 16 }
 
-func TestPIDTagsRejectedForRR(t *testing.T) {
-	r := newRig(t, 1, vrMk, nil)
-	o := baseOptions(r)
-	o.PIDTagged = true
-	if _, err := NewRR(o); err == nil {
-		t.Error("PID tags accepted for the R-R baseline")
-	}
-	if _, err := NewRRNoInclusion(o); err == nil {
-		t.Error("PID tags accepted for the no-inclusion baseline")
-	}
-	o.PIDTagged = true
-	o.EagerCtxFlush = true
-	if _, err := NewVR(o); err == nil {
-		t.Error("PIDTagged+EagerCtxFlush accepted")
-	}
-}
-
 func TestWriteUpdatePropagates(t *testing.T) {
 	r := newRig(t, 2, updMk, nil)
 	seg := r.mmu.NewSegment(testPageSize)
@@ -152,15 +135,6 @@ func TestWriteUpdateDowngradesToPrivate(t *testing.T) {
 	r.write(0, 1, 0x040)
 	if got := r.bus.Stats().Count(bus.Update); got != mid+1 {
 		t.Fatalf("expected another update transaction, got %d", got-mid)
-	}
-}
-
-func TestWriteUpdateRejectedForNoInclusion(t *testing.T) {
-	r := newRig(t, 1, vrMk, nil)
-	o := baseOptions(r)
-	o.Protocol = WriteUpdate
-	if _, err := NewRRNoInclusion(o); err == nil {
-		t.Error("write-update accepted for the no-inclusion baseline")
 	}
 }
 

@@ -58,26 +58,21 @@ var _ Hierarchy = (*RRNoInclusion)(nil)
 // organization models a unified first level (the paper's coherence tables
 // use unified direct-mapped caches).
 func NewRRNoInclusion(o Options) (*RRNoInclusion, error) {
-	o.applyDefaults()
-	if err := o.validate(); err != nil {
+	if err := o.prepare(); err != nil {
 		return nil, err
 	}
-	if o.Split {
-		return nil, fmt.Errorf("core: the no-inclusion baseline models a unified L1")
+	l1, err := cache.New[nl1Line](o.L1, o.L1Policy, o.PolicySeed+1)
+	if err != nil {
+		return nil, fmt.Errorf("core: L1: %w", err)
 	}
-	if o.EagerCtxFlush || o.PIDTagged {
-		return nil, fmt.Errorf("core: EagerCtxFlush and PIDTagged apply only to the V-R organization")
-	}
-	if o.Protocol != WriteInvalidate {
-		return nil, fmt.Errorf("core: the no-inclusion baseline models the write-invalidate protocol only")
-	}
-	if o.RLTEntries > 0 {
-		return nil, fmt.Errorf("core: the reverse-lookup synonym table applies only to the V-R organization")
+	l2, err := newRCache(o)
+	if err != nil {
+		return nil, err
 	}
 	h := &RRNoInclusion{
 		opts: o,
-		l1:   cache.MustNew[nl1Line](o.L1, o.L1Policy, o.PolicySeed+1),
-		l2:   mustRCache(o),
+		l1:   l1,
+		l2:   l2,
 		vic:  victim.New(o.VictimEntries),
 		st:   newStats(),
 		pr:   o.Probe,

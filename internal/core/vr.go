@@ -62,32 +62,25 @@ func NewVR(o Options) (*VR, error) { return newVR(o, true) }
 
 // NewRR builds the physically-addressed baseline with inclusion and
 // attaches it to the bus.
-func NewRR(o Options) (*VR, error) {
-	if o.EagerCtxFlush || o.PIDTagged {
-		return nil, fmt.Errorf("core: EagerCtxFlush and PIDTagged apply only to the V-R organization")
-	}
-	return newVR(o, false)
-}
+func NewRR(o Options) (*VR, error) { return newVR(o, false) }
 
 func newVR(o Options, virtual bool) (*VR, error) {
-	o.applyDefaults()
-	if err := o.validate(); err != nil {
+	if err := o.prepare(); err != nil {
 		return nil, err
 	}
-	if o.PIDTagged && o.EagerCtxFlush {
-		return nil, fmt.Errorf("core: PIDTagged and EagerCtxFlush are mutually exclusive")
+	rc, err := newRCache(o)
+	if err != nil {
+		return nil, err
 	}
-	if o.L1WriteThrough && o.Protocol == WriteUpdate {
-		return nil, fmt.Errorf("core: L1WriteThrough is incompatible with the write-update protocol")
-	}
-	if o.L1WriteThrough && o.EagerCtxFlush {
-		return nil, fmt.Errorf("core: a write-through first level has nothing to flush eagerly")
+	wb, err := writebuf.New(o.WriteBufDepth, o.WriteBufLatency)
+	if err != nil {
+		return nil, fmt.Errorf("core: %w", err)
 	}
 	h := &VR{
 		opts:    o,
 		virtual: virtual,
-		rc:      mustRCache(o),
-		wb:      writebuf.MustNew(o.WriteBufDepth, o.WriteBufLatency),
+		rc:      rc,
+		wb:      wb,
 		st:      newStats(),
 		pr:      o.Probe,
 	}
@@ -113,9 +106,6 @@ func newVR(o Options, virtual bool) (*VR, error) {
 	h.wt = wtQueue{depth: o.WriteBufDepth, latency: o.WriteBufLatency}
 	h.syn = vptrStrategy{}
 	if o.RLTEntries > 0 {
-		if !virtual {
-			return nil, fmt.Errorf("core: the reverse-lookup synonym table applies only to the V-R organization")
-		}
 		tbl, err := rlt.New(o.RLTEntries, o.RLTAssoc, o.L1.Block)
 		if err != nil {
 			return nil, fmt.Errorf("core: %w", err)

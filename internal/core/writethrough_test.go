@@ -155,22 +155,6 @@ func TestWriteThroughCoherence(t *testing.T) {
 	}
 }
 
-func TestWriteThroughValidation(t *testing.T) {
-	r := newRig(t, 1, vrMk, nil)
-	o := baseOptions(r)
-	o.L1WriteThrough = true
-	o.Protocol = WriteUpdate
-	if _, err := NewVR(o); err == nil {
-		t.Error("write-through + write-update accepted")
-	}
-	o = baseOptions(r)
-	o.L1WriteThrough = true
-	o.EagerCtxFlush = true
-	if _, err := NewVR(o); err == nil {
-		t.Error("write-through + eager flush accepted")
-	}
-}
-
 func TestRandomVRWriteThrough(t *testing.T) {
 	randomWorkload(t, wtMk, nil, 2, 3000, true)
 }

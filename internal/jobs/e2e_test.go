@@ -207,6 +207,8 @@ func TestInvalidConfigsRejected(t *testing.T) {
 		{"l1 not below l2", `{"kind":"run","preset":"pops","machine":{"l1Size":1048576,"l2Size":65536}}`, "machine"},
 		{"oversized cache", `{"kind":"run","preset":"pops","machine":{"l1Size":1073741824}}`, "machine.l1Size"},
 		{"bad block ratio", `{"kind":"run","preset":"pops","machine":{"l1Block":16,"l2Block":24}}`, "machine.l2Block"},
+		{"split no-inclusion", `{"kind":"run","preset":"pops","machine":{"org":"rrnoincl","split":true}}`, "machine"},
+		{"split half too small", `{"kind":"run","preset":"pops","machine":{"l1Size":16,"split":true}}`, "machine"},
 		{"sweep over limit", func() string {
 			ms := make([]string, 65)
 			for i := range ms {

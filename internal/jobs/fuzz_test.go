@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"testing"
+
+	"repro/internal/system"
 )
 
 // FuzzJobConfigDecode feeds arbitrary bytes to the job-submission decoder —
@@ -15,8 +17,9 @@ import (
 //  2. Canonical re-encodes to a document DecodeConfig accepts again, and
 //     the second decode canonicalizes identically (a fixed point — the
 //     manager persists Canonical bytes and must be able to recover them).
-//  3. The workload and machine list build without panicking: acceptance
-//     means the job is actually runnable, within the service bounds.
+//  3. The workload resolves and every machine builds with system.New:
+//     acceptance means the job is actually runnable, within the service
+//     bounds.
 func FuzzJobConfigDecode(f *testing.F) {
 	for _, seed := range []string{
 		// The documents the README and e2e suite submit.
@@ -50,6 +53,12 @@ func FuzzJobConfigDecode(f *testing.F) {
 		`{"kind":"run","preset":"pops"}{"kind":"run"}`,
 		`{"kind":"run","preset":"pops","bogus":true}`,
 		"\x00\x01\x02",
+		// Machines the admission check once let through and system.New
+		// then refused: a split no-inclusion L1, and split halves too small
+		// to be a cache.
+		`{"kind":"run","preset":"pops","machine":{"org":"rrnoincl","split":true}}`,
+		`{"kind":"run","preset":"pops","machine":{"l1Size":16,"split":true}}`,
+		`{"kind":"sweep","preset":"pops","machines":[{"org":"vr"},{"l1Size":16,"split":true}]}`,
 	} {
 		f.Add([]byte(seed))
 	}
@@ -80,7 +89,7 @@ func FuzzJobConfigDecode(f *testing.F) {
 		}
 
 		// Accepted means runnable: the workload resolves and, for run and
-		// sweep jobs, every machine builds a legal system.Config.
+		// sweep jobs, every machine builds.
 		wl := cfg.workload()
 		if wl.TotalRefs <= 0 || float64(wl.TotalRefs) > maxRefs {
 			t.Fatalf("accepted workload has %d refs", wl.TotalRefs)
@@ -93,10 +102,26 @@ func FuzzJobConfigDecode(f *testing.F) {
 			if len(ms) == 0 || len(ms) > maxSweepConfigs {
 				t.Fatalf("accepted config built %d machines", len(ms))
 			}
+			for _, m := range ms {
+				// A machine near the service bounds indexes hundreds of MB of
+				// sets; past this budget only Validate, New's first step, runs.
+				if sets := m.cfg.CPUs * (m.cfg.L1.Sets() + m.cfg.L2.Sets()); sets > fuzzMaxSets {
+					if err := m.cfg.Validate(); err != nil {
+						t.Fatalf("accepted machine %q is illegal: %v", m.label, err)
+					}
+					continue
+				}
+				if _, err := system.New(m.cfg); err != nil {
+					t.Fatalf("accepted machine %q does not build: %v", m.label, err)
+				}
+			}
 		}
 		_ = cfg.cycleParams()
 	})
 }
+
+// fuzzMaxSets bounds the cache sets one fuzzed machine may allocate.
+const fuzzMaxSets = 1 << 20
 
 // asJobsError unwraps to *Error without importing errors (keeps the fuzz
 // target dependency-light; identical semantics for this one type).

@@ -61,10 +61,10 @@ type Config struct {
 	Split bool
 	L2    cache.Geometry
 
-	TLBEntries      int
-	TLBAssoc        int
-	WriteBufDepth   int
-	WriteBufLatency uint64
+	TLBEntries      int    // default 64
+	TLBAssoc        int    // default 2
+	WriteBufDepth   int    // default 1
+	WriteBufLatency uint64 // references until a buffered write-back drains; default 4
 	EagerCtxFlush   bool
 
 	// L1Policy and L2Policy select each level's replacement policy; the
@@ -89,8 +89,8 @@ type Config struct {
 	VictimEntries int
 	// RLTEntries sizes the VRRLT organization's reverse-lookup synonym
 	// table; 0 defaults to half the first level's line count. RLTAssoc is
-	// the table's associativity (0: rlt.DefaultAssoc). Ignored by the other
-	// organizations.
+	// the table's associativity (0: rlt.DefaultAssoc). Only VRRLT accepts
+	// either.
 	RLTEntries int
 	RLTAssoc   int
 	// Tracer, when set, observes every hierarchy's Table 4 interface
@@ -138,6 +138,18 @@ func (c *Config) applyDefaults() {
 	if c.CPUs == 0 {
 		c.CPUs = 1
 	}
+	if c.TLBEntries == 0 {
+		c.TLBEntries = 64
+	}
+	if c.TLBAssoc == 0 {
+		c.TLBAssoc = 2
+	}
+	if c.WriteBufDepth == 0 {
+		c.WriteBufDepth = 1 // the paper's single swapped write-back buffer
+	}
+	if c.WriteBufLatency == 0 {
+		c.WriteBufLatency = 4
+	}
 }
 
 // System is an assembled machine.
@@ -154,26 +166,13 @@ type System struct {
 	refs   uint64
 }
 
-// New builds a machine from cfg.
+// New builds a machine from cfg, or returns the reason Validate gives for
+// rejecting it.
 func New(cfg Config) (*System, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
 	cfg.applyDefaults()
-	if cfg.CPUs < 1 || cfg.CPUs > 255 {
-		return nil, fmt.Errorf("system: %d CPUs out of range", cfg.CPUs)
-	}
-	// Validate geometries up front: the memory and per-CPU constructors
-	// below assume a legal L1 block size.
-	if err := cfg.L1.Validate(); err != nil {
-		return nil, fmt.Errorf("system: L1: %w", err)
-	}
-	if err := cfg.L2.Validate(); err != nil {
-		return nil, fmt.Errorf("system: L2: %w", err)
-	}
-	// The reverse-lookup table exists only under VRRLT; a size on any other
-	// organization would be silently ignored, so reject it instead (the CLI
-	// and job surfaces enforce the same rule).
-	if (cfg.RLTEntries != 0 || cfg.RLTAssoc != 0) && cfg.Organization != VRRLT {
-		return nil, fmt.Errorf("system: RLTEntries/RLTAssoc require the VRRLT organization")
-	}
 	mmu, err := vm.New(cfg.PageSize)
 	if err != nil {
 		return nil, err
@@ -229,22 +228,8 @@ func New(cfg Config) (*System, error) {
 		case RRNoInclusion:
 			h, err = core.NewRRNoInclusion(opts)
 		case VRRLT:
-			opts.RLTEntries = cfg.RLTEntries
-			opts.RLTAssoc = cfg.RLTAssoc
-			if opts.RLTEntries == 0 {
-				// Default: the largest power of two no bigger than half the
-				// first level's line count — small enough that capacity
-				// evictions actually occur (the trade-off stays visible),
-				// and a legal set count for any associativity.
-				lines := int(cfg.L1.Size / cfg.L1.Block)
-				opts.RLTEntries = 1
-				for opts.RLTEntries*2 <= lines/2 {
-					opts.RLTEntries *= 2
-				}
-			}
+			opts.RLTEntries, opts.RLTAssoc = cfg.rltEntries(), cfg.RLTAssoc
 			h, err = core.NewVR(opts)
-		default:
-			err = fmt.Errorf("system: unknown organization %d", cfg.Organization)
 		}
 		if err != nil {
 			return nil, err
