@@ -507,11 +507,8 @@ func (m *Manager) run(ctx context.Context, j *job) ([]byte, error) {
 
 // finalize records a terminal state and persists the spec.
 func (m *Manager) finalize(j *job, state, errMsg string) {
-	j.mu.Lock()
-	j.state = state
-	j.errMsg = errMsg
-	j.mu.Unlock()
-	m.persistLocked(j)
+	// Count the event before the state is visible: a client that sees the
+	// job terminal must find it in the lifecycle counters.
 	m.mu.Lock()
 	switch state {
 	case StateDone:
@@ -522,6 +519,11 @@ func (m *Manager) finalize(j *job, state, errMsg string) {
 		m.stats.Canceled++
 	}
 	m.mu.Unlock()
+	j.mu.Lock()
+	j.state = state
+	j.errMsg = errMsg
+	j.mu.Unlock()
+	m.persistLocked(j)
 	if errMsg != "" {
 		m.log.Warn("job finished", "job", j.id, "state", state, "err", errMsg)
 	} else {
