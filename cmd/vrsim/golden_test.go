@@ -21,7 +21,7 @@ import (
 var updateGolden = flag.Bool("update", false, "rewrite the testdata/golden digests from the current outputs")
 
 // goldenScale keeps each corpus run to 6-17 thousand references, so the
-// whole matrix of 149 cells takes about a second.
+// whole matrix of 221 cells takes a few seconds.
 const goldenScale = 0.005
 
 var (
@@ -48,7 +48,8 @@ func goldenOptions(preset string) options {
 
 // TestGoldenCorpus pins the byte-exact output of the surfaces that build
 // machines: vrsim's text and JSON reports across presets, organizations,
-// victim caches and timing; -compare; and the candidates of the paper
+// victim caches and timing; the observability outputs of the probe sinks
+// (see addObservabilityCells); -compare; and the candidates of the paper
 // grammar and of ci.sh's autotune grammar. Only SHA-256 digests are
 // committed (testdata/golden/vrsim.sha256); regenerate them with
 //
@@ -72,6 +73,11 @@ func TestGoldenCorpus(t *testing.T) {
 						cells[name] = maskBuild(out.Bytes())
 					}
 				}
+			}
+		}
+		for _, org := range []string{"vr", "rr", "rrnoincl", "rlt"} {
+			for _, timed := range []bool{false, true} {
+				addObservabilityCells(t, cells, preset, org, timed)
 			}
 		}
 		var out bytes.Buffer
@@ -108,6 +114,48 @@ func TestGoldenCorpus(t *testing.T) {
 		cells[name] = out.Bytes()
 	}
 	checkGolden(t, "vrsim.sha256", cells)
+}
+
+// addObservabilityCells runs one preset and organization at -victim 0 with
+// the probe sinks that ride System.Run armed, and adds a cell per output:
+// the -metrics-every 2000 window lines printed on stdout, the -chrome-trace
+// file, and on timed runs the -trace-spans file and the -attr text report
+// (written through -attr-out). -events is left out: its log goes straight
+// to os.Stderr, which run does not take as a parameter.
+func addObservabilityCells(t *testing.T, cells map[string][]byte, preset, org string, timed bool) {
+	t.Helper()
+	dir := t.TempDir()
+	o := goldenOptions(preset)
+	o.org, o.timed, o.metricsEvery = org, timed, 2000
+	o.chromeTrace = filepath.Join(dir, "chrome.json")
+	files := map[string]string{"chrome": o.chromeTrace}
+	if timed {
+		o.traceSpans = filepath.Join(dir, "spans.json")
+		o.attr, o.attrOut = true, filepath.Join(dir, "attr.txt")
+		files["spans"], files["attr"] = o.traceSpans, o.attrOut
+	}
+	name := fmt.Sprintf("obs/%s/%s/timed=%v", preset, org, timed)
+	var out bytes.Buffer
+	if err := run(o, &out); err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	var windows bytes.Buffer
+	for _, line := range strings.SplitAfter(out.String(), "\n") {
+		if strings.HasPrefix(line, "refs ") {
+			windows.WriteString(line)
+		}
+	}
+	if windows.Len() == 0 {
+		t.Fatalf("%s: no window lines on stdout", name)
+	}
+	cells[name+"/windows"] = windows.Bytes()
+	for kind, path := range files {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		cells[name+"/"+kind] = data
+	}
 }
 
 // checkGolden compares each cell's SHA-256 against the digest file under
