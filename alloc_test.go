@@ -5,8 +5,8 @@ package vrsim_test
 // steady state), applying a reference must not allocate at all — the sweep
 // engine's throughput depends on it. Guarded paths: a first-level hit (the
 // overwhelmingly common case), the V-miss/R-hit fill path with its victim
-// choice and replacement, and the probe-nil check every emission site pays
-// when observability is off.
+// choice and replacement, the probe-nil check every emission site pays
+// when observability is off, and trace generation's batch fill.
 
 import (
 	"testing"
@@ -227,4 +227,41 @@ func TestWarmSynonymMachineryAllocationFree(t *testing.T) {
 			t.Fatal("one-entry RLT never evicted")
 		}
 	})
+}
+
+// TestWarmGeneratorAllocationFree holds trace generation to the same
+// contract: once a generator's locality stacks have grown and its
+// procedure-call write bursts have cycled through their queue, filling a
+// batch allocates nothing. Generation runs beside the simulation in
+// System.Run, so any garbage it makes lands on the run's bill.
+func TestWarmGeneratorAllocationFree(t *testing.T) {
+	for _, preset := range []struct {
+		name string
+		cfg  func() vrsim.WorkloadConfig
+	}{
+		{"pops", vrsim.PopsWorkload},
+		{"thor", vrsim.ThorWorkload},
+		{"abaqus", vrsim.AbaqusWorkload},
+	} {
+		t.Run(preset.name, func(t *testing.T) {
+			cfg := preset.cfg()
+			cfg.TotalRefs = 1 << 30 // never reach EOF inside the test
+			gen, err := vrsim.NewWorkload(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			buf := make([]vrsim.Ref, 4096)
+			read := func() {
+				if n, err := gen.ReadBatch(buf); err != nil || n != len(buf) {
+					t.Fatalf("ReadBatch: %d records, %v", n, err)
+				}
+			}
+			for i := 0; i < 32; i++ {
+				read()
+			}
+			if n := testing.AllocsPerRun(100, read); n != 0 {
+				t.Errorf("%v allocs per 4096-record batch, want 0", n)
+			}
+		})
+	}
 }

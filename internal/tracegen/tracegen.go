@@ -275,7 +275,8 @@ type cpuState struct {
 	procs    []*process
 	cur      int
 	rng      *rand.Rand
-	pending  []trace.Ref // queued refs (write bursts)
+	pending  []trace.Ref // queued refs (a write burst); one array reused by every burst
+	head     int         // index of the next pending ref to emit
 	sinceCtx int
 	needsCtx bool
 }
@@ -390,9 +391,11 @@ func (g *Generator) ReadBatch(dst []trace.Ref) (int, error) {
 }
 
 func (g *Generator) genRef(cpu int, cs *cpuState) trace.Ref {
-	if len(cs.pending) > 0 {
-		ref := cs.pending[0]
-		cs.pending = cs.pending[1:]
+	if cs.head < len(cs.pending) {
+		ref := cs.pending[cs.head]
+		if cs.head++; cs.head == len(cs.pending) {
+			cs.pending, cs.head = cs.pending[:0], 0
+		}
 		return ref
 	}
 	p := cs.procs[cs.cur]
