@@ -77,6 +77,16 @@ echo "== cross-organization differential suite under race"
 go test -race -count 2 -run 'TestDifferential' ./internal/system
 go test -race -count 2 -run 'TestGeometryFuzz|TestVREqualsRR|TestProtocolsEquivalent|TestPIDTagsEquivalent' ./internal/core
 
+# System.Run reads the trace ahead on a helper goroutine. Its contract tests
+# run ten times under the race detector, which reports any reader call made
+# after Run returns; then once more, with the golden corpus, on a single P,
+# where the reader and the machine must take turns without deadlocking or
+# changing a byte of output.
+echo "== read-ahead contract under race, and on one P"
+go test -race -count 10 -run 'TestRunReadAheadContract|TestRunAllocationsBounded' ./internal/system
+GOMAXPROCS=1 go test -count 1 -run 'TestRunReadAheadContract|TestRunAllocationsBounded' ./internal/system
+GOMAXPROCS=1 go test -count 1 -run 'TestGoldenCorpus' ./cmd/vrsim
+
 # Audit under the race detector: run the full invariant auditor against every
 # organization on a real workload and fail on any violation (vrsim exits
 # non-zero when the auditor finds one). No -cpus override: the preset trace

@@ -151,12 +151,18 @@ type batch struct {
 // index; the lowest-indexed system error wins, deterministically); the
 // remaining systems still consume the stream already broadcast, so Run
 // never deadlocks on error.
+//
+// With Workers: 1, r is read and every system simulated on the caller's
+// goroutine, whatever the system count. Otherwise a single system is
+// handed to System.Run, which reads r ahead on one helper goroutine.
 func Run(r trace.Reader, systems []*system.System, opts Options) error {
 	if len(systems) == 0 {
 		return nil
 	}
-	if len(systems) == 1 {
-		// No fan-out needed; run in place on the caller's goroutine.
+	if len(systems) == 1 && opts.Workers != 1 {
+		// No fan-out needed: System.Run reads ahead on a helper goroutine
+		// and simulates on this one. Workers: 1 promises no goroutines, so
+		// it takes runSequential below instead.
 		return systems[0].Run(r)
 	}
 	workers := opts.resolve(len(systems))

@@ -159,6 +159,54 @@ func TestSweepEmptyAndSingle(t *testing.T) {
 	}
 }
 
+// callerReader wraps a reader and notes whether any record was read off
+// the goroutine that built it.
+type callerReader struct {
+	trace.Reader
+	owner string
+	away  bool
+}
+
+func newCallerReader(r trace.Reader) *callerReader {
+	return &callerReader{Reader: r, owner: goroutineID()}
+}
+
+func (r *callerReader) Next() (trace.Ref, error) {
+	if goroutineID() != r.owner {
+		r.away = true
+	}
+	return r.Reader.Next()
+}
+
+// goroutineID returns the running goroutine's number, parsed from the
+// "goroutine N [running]:" header of its stack trace.
+func goroutineID() string {
+	buf := make([]byte, 64)
+	return strings.Fields(string(buf[:runtime.Stack(buf, false)]))[1]
+}
+
+// TestSweepSingleWorkersOneOnCaller holds a one-system sweep to the
+// Workers: 1 contract — the trace is read on the caller's goroutine — while
+// any other worker count hands the system to System.Run, which reads ahead
+// on a helper goroutine. Both see the whole stream.
+func TestSweepSingleWorkersOneOnCaller(t *testing.T) {
+	tc := testWorkload()
+	tc.TotalRefs = 1_000
+	for _, workers := range []int{1, 0, 2} {
+		systems := buildSystems(t, tc, testConfigs(tc)[:1])
+		r := newCallerReader(tracegen.MustNew(tc))
+		if err := Run(r, systems, Options{Workers: workers}); err != nil {
+			t.Fatalf("workers %d: %v", workers, err)
+		}
+		if systems[0].Refs() != 1_000 {
+			t.Errorf("workers %d: Refs = %d, want 1000", workers, systems[0].Refs())
+		}
+		if want := workers != 1; r.away != want {
+			t.Errorf("workers %d: read off the caller's goroutine = %v, want %v", workers, r.away, want)
+		}
+	}
+}
+
 // TestSweepSystemError proves a failing system aborts the one-worker
 // chunked sweep with its index, while the healthy systems finish the stream.
 func TestSweepSystemError(t *testing.T) {

@@ -352,23 +352,88 @@ func (s *System) ApplyBatch(refs []trace.Ref) error {
 // amortize the Reader interface call, small enough to stay cache-resident.
 const runBatchSize = 4096
 
+// runAhead is the number of batch buffers Run's reader cycles through. Two
+// would let the reader fill one while the machine applies the other; two
+// more absorb the jitter between a batch that is slow to generate and one
+// that is slow to simulate, so neither side waits on the other's every
+// hiccup. At 16-byte records that is 256 KB per run.
+const runAhead = 4
+
+// readBatch is one batch handed from Run's reader to the machine: the
+// records read, the reader's error after them (io.EOF at the end of the
+// trace), or the value the reader panicked with.
+type readBatch struct {
+	refs     []trace.Ref
+	err      error
+	panicked any
+}
+
 // Run drives every record from r through the machine and drains the write
 // buffers at the end. Reads go through the batched path (trace.FillBatch),
 // so readers implementing trace.BatchReader are consumed a slice at a time.
+//
+// Run reads ahead: one helper goroutine fills a fixed pool of runAhead
+// batches from r while the caller's goroutine applies them in stream
+// order, so producing the trace overlaps simulating it. Only the reader
+// moves; the machine, and every probe sink, auditor, cycle engine and
+// callback it drives, runs on the caller's goroutine. Records read before a
+// reader error are applied and the error is returned without draining. An
+// error from the machine stops the reader and is returned; by then the
+// reader may have read up to runAhead-1 batches past the failing one. A
+// panic inside r is re-raised on the caller's goroutine with the same
+// value. Run returns only after the helper has exited, so r is never read
+// after Run returns.
 func (s *System) Run(r trace.Reader) error {
-	buf := make([]trace.Ref, runBatchSize)
-	for {
-		n, err := trace.FillBatch(r, buf)
-		if aerr := s.ApplyBatch(buf[:n]); aerr != nil {
-			return aerr
+	free := make(chan []trace.Ref, runAhead)
+	full := make(chan readBatch, runAhead)
+	pool := make([]trace.Ref, runAhead*runBatchSize)
+	for i := 0; i < runAhead; i++ {
+		free <- pool[i*runBatchSize : (i+1)*runBatchSize : (i+1)*runBatchSize]
+	}
+	stop, done := make(chan struct{}), make(chan struct{})
+	// Sends on full never block: at most runAhead batches, or runAhead-1
+	// and a panic, are ever in flight.
+	go func() {
+		defer close(done)
+		defer func() {
+			if v := recover(); v != nil {
+				full <- readBatch{panicked: v}
+			}
+		}()
+		for {
+			var buf []trace.Ref
+			select {
+			case buf = <-free:
+			case <-stop:
+				return
+			}
+			n, err := trace.FillBatch(r, buf)
+			full <- readBatch{refs: buf[:n], err: err}
+			if err != nil {
+				return
+			}
 		}
-		if errors.Is(err, io.EOF) {
+	}()
+	defer func() {
+		close(stop)
+		<-done
+	}()
+	for {
+		b := <-full
+		if b.panicked != nil {
+			panic(b.panicked)
+		}
+		if err := s.ApplyBatch(b.refs); err != nil {
+			return err
+		}
+		if errors.Is(b.err, io.EOF) {
 			s.Drain()
 			return nil
 		}
-		if err != nil {
-			return err
+		if b.err != nil {
+			return b.err
 		}
+		free <- b.refs[:runBatchSize]
 	}
 }
 
