@@ -1,12 +1,14 @@
 // Command benchguard compares the sweep engine's current throughput against
-// the recorded baseline in BENCH_sweep.json and fails on a >10% regression.
-// It runs BenchmarkSweepNConfigs a few times and takes the best run, so a
-// single noisy iteration on a loaded machine does not fail the build; a
-// real regression shows up in every run.
+// the recorded baseline in BENCH_sweep.json and fails when it falls below
+// baseline*threshold. It runs BenchmarkSweepNConfigs a few times and gates
+// on the best run, so a single noisy iteration on a loaded machine does not
+// fail the build; a real regression shows up in every run.
 //
 // Besides the pass/fail gate, every run is appended to a trajectory file
 // (BENCH_history.json by default) so throughput trends across PRs stay
-// visible instead of collapsing into a single boolean.
+// visible instead of collapsing into a single boolean. Each entry carries
+// the median and quartiles of the runs beside the best, the noise band a
+// later change's number is read against.
 //
 // Usage (from the repository root, as ci.sh does):
 //
@@ -21,6 +23,7 @@ import (
 	"os"
 	"os/exec"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -43,12 +46,18 @@ type historyEntry struct {
 	Time       string  `json:"time"` // RFC 3339, UTC
 	Config     string  `json:"config"`
 	RefsPerSec float64 `json:"refsPerSec"` // best of -count runs
-	Baseline   float64 `json:"baseline"`
-	Threshold  float64 `json:"threshold"`
-	Pass       bool    `json:"pass"`
-	GoVersion  string  `json:"goVersion"`
-	NumCPU     int     `json:"numCPU"`
-	Gomaxprocs int     `json:"gomaxprocs"`
+	// MedianRefsPerSec, Q1RefsPerSec and Q3RefsPerSec are the median and
+	// quartiles of the -count runs (sweep entries recorded since they were
+	// added).
+	MedianRefsPerSec float64 `json:"medianRefsPerSec,omitempty"`
+	Q1RefsPerSec     float64 `json:"q1RefsPerSec,omitempty"`
+	Q3RefsPerSec     float64 `json:"q3RefsPerSec,omitempty"`
+	Baseline         float64 `json:"baseline"`
+	Threshold        float64 `json:"threshold"`
+	Pass             bool    `json:"pass"`
+	GoVersion        string  `json:"goVersion"`
+	NumCPU           int     `json:"numCPU"`
+	Gomaxprocs       int     `json:"gomaxprocs"`
 	// GateSkipped explains why the pass/fail gate did not apply (e.g. the
 	// baseline was recorded on a different core count); empty otherwise.
 	GateSkipped string `json:"gateSkipped,omitempty"`
@@ -120,27 +129,33 @@ func run(o options) error {
 	if o.verbose {
 		fmt.Print(out)
 	}
-	best, runs, err := bestRefsPerSec(out, o.config)
+	runs, err := refsPerSecRuns(out, o.config)
 	if err != nil {
 		return err
 	}
+	best := slices.Max(runs)
+	q1, median, q3 := quartiles(runs)
 	floor := want * o.threshold
-	fmt.Printf("benchguard: sweep/%s best of %d runs: %.0f refs/s (baseline %.0f, floor %.0f)\n",
-		o.config, runs, best, want, floor)
+	fmt.Printf("benchguard: sweep/%s best of %d runs: %.0f refs/s (baseline %.0f, floor %.0f); "+
+		"median %.0f, quartiles %.0f-%.0f\n",
+		o.config, len(runs), best, want, floor, median, q1, q3)
 	if o.history != "" {
 		// A failing run is recorded too: the trajectory must show the dip,
 		// not just the runs that survived the gate.
 		e := historyEntry{
-			Time:        time.Now().UTC().Format(time.RFC3339),
-			Config:      o.config,
-			RefsPerSec:  best,
-			Baseline:    want,
-			Threshold:   o.threshold,
-			Pass:        skipped != "" || best >= floor,
-			GoVersion:   runtime.Version(),
-			NumCPU:      runtime.NumCPU(),
-			Gomaxprocs:  runtime.GOMAXPROCS(0),
-			GateSkipped: skipped,
+			Time:             time.Now().UTC().Format(time.RFC3339),
+			Config:           o.config,
+			RefsPerSec:       best,
+			MedianRefsPerSec: median,
+			Q1RefsPerSec:     q1,
+			Q3RefsPerSec:     q3,
+			Baseline:         want,
+			Threshold:        o.threshold,
+			Pass:             skipped != "" || best >= floor,
+			GoVersion:        runtime.Version(),
+			NumCPU:           runtime.NumCPU(),
+			Gomaxprocs:       runtime.GOMAXPROCS(0),
+			GateSkipped:      skipped,
 		}
 		if err := appendHistory(o.history, e); err != nil {
 			return err
@@ -309,13 +324,14 @@ func runBenchmark(o options) (string, error) {
 	return string(out), nil
 }
 
-// bestRefsPerSec parses `go test -bench` output lines like
+// refsPerSecRuns parses `go test -bench` output lines like
 //
 //	BenchmarkSweepNConfigs/6-8   1   170ms/op   6619246 refs/s   0 B/op
 //
-// and returns the best refs/s across repetitions.
-func bestRefsPerSec(out, config string) (best float64, runs int, err error) {
+// and returns each repetition's refs/s, in output order.
+func refsPerSecRuns(out, config string) ([]float64, error) {
 	prefix := "BenchmarkSweepNConfigs/" + config
+	var runs []float64
 	for _, line := range strings.Split(out, "\n") {
 		if !strings.HasPrefix(line, prefix) {
 			continue
@@ -325,18 +341,31 @@ func bestRefsPerSec(out, config string) (best float64, runs int, err error) {
 			if f[i] != "refs/s" {
 				continue
 			}
-			v, perr := strconv.ParseFloat(f[i-1], 64)
-			if perr != nil {
-				return 0, 0, fmt.Errorf("bad refs/s value in %q: %v", line, perr)
+			v, err := strconv.ParseFloat(f[i-1], 64)
+			if err != nil {
+				return nil, fmt.Errorf("bad refs/s value in %q: %v", line, err)
 			}
-			runs++
-			if v > best {
-				best = v
-			}
+			runs = append(runs, v)
 		}
 	}
-	if runs == 0 {
-		return 0, 0, fmt.Errorf("no %s refs/s samples in benchmark output:\n%s", prefix, out)
+	if len(runs) == 0 {
+		return nil, fmt.Errorf("no %s refs/s samples in benchmark output:\n%s", prefix, out)
 	}
-	return best, runs, nil
+	return runs, nil
+}
+
+// quartiles returns the first quartile, median and third quartile of xs,
+// interpolating linearly between order statistics. xs must not be empty.
+func quartiles(xs []float64) (q1, median, q3 float64) {
+	s := slices.Clone(xs)
+	slices.Sort(s)
+	at := func(p float64) float64 {
+		h := p * float64(len(s)-1)
+		i := int(h)
+		if i+1 == len(s) {
+			return s[i]
+		}
+		return s[i] + (h-float64(i))*(s[i+1]-s[i])
+	}
+	return at(0.25), at(0.5), at(0.75)
 }

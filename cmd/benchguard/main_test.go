@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -18,23 +19,88 @@ PASS
 `
 
 func TestBestRefsPerSec(t *testing.T) {
-	best, runs, err := bestRefsPerSec(sampleOutput, "6")
+	runs, err := refsPerSecRuns(sampleOutput, "6")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if runs != 2 || best != 6553100 {
-		t.Fatalf("best=%v runs=%d, want 6553100 over 2", best, runs)
+	if len(runs) != 2 || slices.Max(runs) != 6553100 {
+		t.Fatalf("runs %v, want best 6553100 over 2", runs)
 	}
 	// The /18 line must not leak into the /6 guard, nor the reverse.
-	best, runs, err = bestRefsPerSec(sampleOutput, "18")
-	if err != nil || runs != 1 || best != 5193864 {
-		t.Fatalf("config 18: best=%v runs=%d err=%v", best, runs, err)
+	runs, err = refsPerSecRuns(sampleOutput, "18")
+	if err != nil || len(runs) != 1 || runs[0] != 5193864 {
+		t.Fatalf("config 18: runs %v err=%v", runs, err)
 	}
-	if _, _, err := bestRefsPerSec("PASS\n", "6"); err == nil {
+	if _, err := refsPerSecRuns("PASS\n", "6"); err == nil {
 		t.Fatal("no samples must be an error")
 	}
-	if _, _, err := bestRefsPerSec("BenchmarkSweepNConfigs/6 1 bogus refs/s\n", "6"); err == nil {
+	if _, err := refsPerSecRuns("BenchmarkSweepNConfigs/6 1 bogus refs/s\n", "6"); err == nil {
 		t.Fatal("unparseable value must be an error")
+	}
+}
+
+// TestNoiseBand checks the median and quartiles recorded beside the best
+// run, on canned output of five repetitions and on the one- and two-run
+// edge cases.
+func TestNoiseBand(t *testing.T) {
+	out := `goos: linux
+BenchmarkSweepNConfigs/6-2   	       1	  32134336 ns/op	   5000000 refs/s	 9134168 B/op
+BenchmarkSweepNConfigs/6-2   	       1	  30087961 ns/op	   6000000 refs/s	 9130808 B/op
+BenchmarkSweepNConfigs/18-2  	       1	  40087961 ns/op	   9900000 refs/s	 9130808 B/op
+BenchmarkSweepNConfigs/6-2   	       1	  30087961 ns/op	   4000000 refs/s	 9130808 B/op
+BenchmarkSweepNConfigs/6-2   	       1	  30087961 ns/op	   8000000 refs/s	 9130808 B/op
+BenchmarkSweepNConfigs/6-2   	       1	  30087961 ns/op	   7000000 refs/s	 9130808 B/op
+PASS
+`
+	runs, err := refsPerSecRuns(out, "6")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []float64{5e6, 6e6, 4e6, 8e6, 7e6}; !slices.Equal(runs, want) {
+		t.Fatalf("runs %v, want %v in output order", runs, want)
+	}
+	if q1, med, q3 := quartiles(runs); q1 != 5e6 || med != 6e6 || q3 != 7e6 {
+		t.Errorf("five runs: quartiles %v %v %v, want 5e6 6e6 7e6", q1, med, q3)
+	}
+	if !slices.Equal(runs, []float64{5e6, 6e6, 4e6, 8e6, 7e6}) {
+		t.Error("quartiles reordered its input")
+	}
+	if q1, med, q3 := quartiles([]float64{4e6}); q1 != 4e6 || med != 4e6 || q3 != 4e6 {
+		t.Errorf("one run: quartiles %v %v %v, want all 4e6", q1, med, q3)
+	}
+	if q1, med, q3 := quartiles([]float64{6e6, 4e6}); q1 != 4.5e6 || med != 5e6 || q3 != 5.5e6 {
+		t.Errorf("two runs: quartiles %v %v %v, want 4.5e6 5e6 5.5e6", q1, med, q3)
+	}
+}
+
+// TestHistoryLoadsOldEntries checks that entries recorded before the noise
+// band existed still load, and that an entry with a band round-trips it.
+func TestHistoryLoadsOldEntries(t *testing.T) {
+	old := `[{"time": "2026-08-08T15:25:36Z", "config": "6", "refsPerSec": 7527350,
+		"baseline": 6619246, "threshold": 0.9, "pass": true, "goVersion": "go1.24.0",
+		"numCPU": 0, "gomaxprocs": 0}]`
+	path := filepath.Join(t.TempDir(), "hist.json")
+	if err := os.WriteFile(path, []byte(old), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	e := historyEntry{Config: "6", RefsPerSec: 6e6, MedianRefsPerSec: 5.5e6,
+		Q1RefsPerSec: 5e6, Q3RefsPerSec: 5.8e6, Pass: true}
+	if err := appendHistory(path, e); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []historyEntry
+	if err := json.Unmarshal(data, &got); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 2 || got[0].RefsPerSec != 7527350 || got[0].MedianRefsPerSec != 0 || got[1] != e {
+		t.Fatalf("trajectory %+v", got)
+	}
+	if strings.Count(string(data), "medianRefsPerSec") != 1 {
+		t.Errorf("the old entry grew a median field:\n%s", data)
 	}
 }
 
