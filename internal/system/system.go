@@ -386,9 +386,8 @@ type readBatch struct {
 func (s *System) Run(r trace.Reader) error {
 	free := make(chan []trace.Ref, runAhead)
 	full := make(chan readBatch, runAhead)
-	pool := make([]trace.Ref, runAhead*runBatchSize)
 	for i := 0; i < runAhead; i++ {
-		free <- pool[i*runBatchSize : (i+1)*runBatchSize : (i+1)*runBatchSize]
+		free <- make([]trace.Ref, runBatchSize)
 	}
 	stop, done := make(chan struct{}), make(chan struct{})
 	// Sends on full never block: at most runAhead batches, or runAhead-1

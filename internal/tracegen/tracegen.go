@@ -275,8 +275,7 @@ type cpuState struct {
 	procs    []*process
 	cur      int
 	rng      *rand.Rand
-	pending  []trace.Ref // queued refs (a write burst); one array reused by every burst
-	head     int         // index of the next pending ref to emit
+	pending  []trace.Ref // write burst, last ref first: popping the end reuses one array
 	sinceCtx int
 	needsCtx bool
 }
@@ -391,11 +390,9 @@ func (g *Generator) ReadBatch(dst []trace.Ref) (int, error) {
 }
 
 func (g *Generator) genRef(cpu int, cs *cpuState) trace.Ref {
-	if cs.head < len(cs.pending) {
-		ref := cs.pending[cs.head]
-		if cs.head++; cs.head == len(cs.pending) {
-			cs.pending, cs.head = cs.pending[:0], 0
-		}
+	if n := len(cs.pending); n > 0 {
+		ref := cs.pending[n-1]
+		cs.pending = cs.pending[:n-1]
 		return ref
 	}
 	p := cs.procs[cs.cur]
@@ -427,7 +424,7 @@ func (g *Generator) genInstr(cpu int, cs *cpuState, p *process) trace.Ref {
 			p.sp = stackBase + addr.VAddr(g.cfg.StackPages)*addr.VAddr(g.cfg.PageSize)
 		}
 		p.sp -= frame
-		for i := 0; i < n; i++ {
+		for i := n - 1; i >= 0; i-- {
 			cs.pending = append(cs.pending, trace.Ref{
 				CPU:  uint8(cpu),
 				Kind: trace.Write,
