@@ -341,9 +341,9 @@ func refsPerSecRuns(out, config string) ([]float64, error) {
 			if f[i] != "refs/s" {
 				continue
 			}
-			v, err := strconv.ParseFloat(f[i-1], 64)
-			if err != nil {
-				return nil, fmt.Errorf("bad refs/s value in %q: %v", line, err)
+			v, perr := strconv.ParseFloat(f[i-1], 64)
+			if perr != nil {
+				return nil, fmt.Errorf("bad refs/s value in %q: %v", line, perr)
 			}
 			runs = append(runs, v)
 		}
