@@ -81,11 +81,12 @@ go test -race -count 2 -run 'TestGeometryFuzz|TestVREqualsRR|TestProtocolsEquiva
 # run ten times under the race detector, which reports any reader call made
 # after Run returns; then once more, with the golden corpus, on a single P,
 # where the reader and the machine must take turns without deadlocking or
-# changing a byte of output.
+# changing a byte of output. The short timeouts turn a deadlock into a
+# failure within minutes.
 echo "== read-ahead contract under race, and on one P"
-go test -race -count 10 -run 'TestRunReadAheadContract|TestRunAllocationsBounded' ./internal/system
-GOMAXPROCS=1 go test -count 1 -run 'TestRunReadAheadContract|TestRunAllocationsBounded' ./internal/system
-GOMAXPROCS=1 go test -count 1 -run 'TestGoldenCorpus' ./cmd/vrsim
+go test -race -count 10 -timeout 5m -run 'TestRunReadAheadContract|TestRunAllocationsBounded' ./internal/system
+GOMAXPROCS=1 go test -count 1 -timeout 2m -run 'TestRunReadAheadContract|TestRunAllocationsBounded' ./internal/system
+GOMAXPROCS=1 go test -count 1 -timeout 2m -run 'TestGoldenCorpus' ./cmd/vrsim
 
 # Audit under the race detector: run the full invariant auditor against every
 # organization on a real workload and fail on any violation (vrsim exits
