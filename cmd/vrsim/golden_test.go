@@ -7,6 +7,7 @@ import (
 	"encoding/hex"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -21,7 +22,7 @@ import (
 var updateGolden = flag.Bool("update", false, "rewrite the testdata/golden digests from the current outputs")
 
 // goldenScale keeps each corpus run to 6-17 thousand references, so the
-// whole matrix of 221 cells takes a few seconds.
+// whole matrix of 245 cells takes a few seconds.
 const goldenScale = 0.005
 
 var (
@@ -57,7 +58,7 @@ func goldenOptions(preset string) options {
 //
 // and say in the change description which cells moved and why.
 func TestGoldenCorpus(t *testing.T) {
-	cells := map[string][]byte{}
+	cells := corpus{}
 	for _, preset := range []string{"pops", "thor", "abaqus"} {
 		for _, org := range []string{"vr", "rr", "rrnoincl", "rlt", "vr-wt", "rr-wt"} {
 			for _, victim := range []int{0, 4} {
@@ -67,10 +68,10 @@ func TestGoldenCorpus(t *testing.T) {
 						o.org, o.victim, o.timed, o.jsonOut = org, victim, timed, jsonOut
 						name := fmt.Sprintf("run/%s/%s/victim%d/timed=%v/json=%v", preset, org, victim, timed, jsonOut)
 						var out bytes.Buffer
-						if err := run(o, &out); err != nil {
+						if err := run(o, &out, io.Discard); err != nil {
 							t.Fatalf("%s: %v", name, err)
 						}
-						cells[name] = maskBuild(out.Bytes())
+						cells.add(name, maskBuild(out.Bytes()))
 					}
 				}
 			}
@@ -84,7 +85,7 @@ func TestGoldenCorpus(t *testing.T) {
 		if err := runCompare(goldenOptions(preset), &out); err != nil {
 			t.Fatalf("compare/%s: %v", preset, err)
 		}
-		cells["compare/"+preset] = out.Bytes()
+		cells.add("compare/"+preset, out.Bytes())
 	}
 	wl, err := tracegen.PresetByName("pops")
 	if err != nil {
@@ -111,22 +112,21 @@ func TestGoldenCorpus(t *testing.T) {
 		for _, c := range cands {
 			fmt.Fprintf(&out, "%s\t%+v\t%d\n", c.Label, c.Config, c.Bits)
 		}
-		cells[name] = out.Bytes()
+		cells.add(name, out.Bytes())
 	}
 	checkGolden(t, "vrsim.sha256", cells)
 }
 
 // addObservabilityCells runs one preset and organization at -victim 0 with
 // the probe sinks that ride System.Run armed, and adds a cell per output:
-// the -metrics-every 2000 window lines printed on stdout, the -chrome-trace
-// file, and on timed runs the -trace-spans file and the -attr text report
-// (written through -attr-out). -events is left out: its log goes straight
-// to os.Stderr, which run does not take as a parameter.
-func addObservabilityCells(t *testing.T, cells map[string][]byte, preset, org string, timed bool) {
+// the -metrics-every 2000 window lines printed on stdout, the unfiltered
+// -events log, the -chrome-trace file, and on timed runs the -trace-spans
+// file and the -attr text report (written through -attr-out).
+func addObservabilityCells(t *testing.T, cells corpus, preset, org string, timed bool) {
 	t.Helper()
 	dir := t.TempDir()
 	o := goldenOptions(preset)
-	o.org, o.timed, o.metricsEvery = org, timed, 2000
+	o.org, o.timed, o.metricsEvery, o.events = org, timed, 2000, true
 	o.chromeTrace = filepath.Join(dir, "chrome.json")
 	files := map[string]string{"chrome": o.chromeTrace}
 	if timed {
@@ -135,10 +135,11 @@ func addObservabilityCells(t *testing.T, cells map[string][]byte, preset, org st
 		files["spans"], files["attr"] = o.traceSpans, o.attrOut
 	}
 	name := fmt.Sprintf("obs/%s/%s/timed=%v", preset, org, timed)
-	var out bytes.Buffer
-	if err := run(o, &out); err != nil {
+	var out, events bytes.Buffer
+	if err := run(o, &out, &events); err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
+	cells.add(name+"/events", events.Bytes())
 	var windows bytes.Buffer
 	for _, line := range strings.SplitAfter(out.String(), "\n") {
 		if strings.HasPrefix(line, "refs ") {
@@ -148,34 +149,45 @@ func addObservabilityCells(t *testing.T, cells map[string][]byte, preset, org st
 	if windows.Len() == 0 {
 		t.Fatalf("%s: no window lines on stdout", name)
 	}
-	cells[name+"/windows"] = windows.Bytes()
+	cells.add(name+"/windows", windows.Bytes())
 	for kind, path := range files {
 		data, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		cells[name+"/"+kind] = data
+		cells.add(name+"/"+kind, data)
 	}
+}
+
+// corpus holds each cell's SHA-256 and the start of its output, not the
+// output itself, so the matrix never keeps every log and trace in memory.
+type corpus map[string]cell
+
+type cell struct {
+	sum  string
+	head string
+}
+
+func (c corpus) add(name string, out []byte) {
+	sum := sha256.Sum256(out)
+	c[name] = cell{sum: hex.EncodeToString(sum[:]), head: head(out, 12)}
 }
 
 // checkGolden compares each cell's SHA-256 against the digest file under
 // testdata/golden, or rewrites the file under -update. A mismatch names the
 // cell and prints the start of the regenerated output.
-func checkGolden(t *testing.T, file string, cells map[string][]byte) {
+func checkGolden(t *testing.T, file string, cells corpus) {
 	t.Helper()
 	path := filepath.Join("..", "..", "testdata", "golden", file)
-	got := map[string]string{}
 	names := make([]string, 0, len(cells))
-	for name, out := range cells {
-		sum := sha256.Sum256(out)
-		got[name] = hex.EncodeToString(sum[:])
+	for name := range cells {
 		names = append(names, name)
 	}
 	sort.Strings(names)
 	if *updateGolden {
 		var buf bytes.Buffer
 		for _, name := range names {
-			fmt.Fprintf(&buf, "%s  %s\n", got[name], name)
+			fmt.Fprintf(&buf, "%s  %s\n", cells[name].sum, name)
 		}
 		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 			t.Fatal(err)
@@ -200,9 +212,9 @@ func checkGolden(t *testing.T, file string, cells map[string][]byte) {
 		switch w, ok := want[name]; {
 		case !ok:
 			t.Errorf("%s: no recorded digest (regenerate with -update)", name)
-		case w != got[name]:
+		case w != cells[name].sum:
 			t.Errorf("%s: digest %s, recorded %s; regenerated output begins:\n%s",
-				name, got[name], w, head(cells[name], 12))
+				name, cells[name].sum, w, cells[name].head)
 		}
 	}
 	for name := range want {

@@ -53,7 +53,7 @@ func TestMachineVerdictsAgree(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			verdicts := map[string]error{"vrsim": run(o, io.Discard)}
+			verdicts := map[string]error{"vrsim": run(o, io.Discard, io.Discard)}
 
 			spec, err := json.Marshal(jobs.MachineSpec{
 				Org: o.org, L1Size: l1, L1Assoc: o.a1, L1Block: o.b1, Split: o.split,
