@@ -68,19 +68,36 @@ func ExampleNew() {
 	// h1 in (0.5, 1): true
 }
 
-// ExampleTracerFunc watches the Table 4 interface signals of a synonym
-// resolution.
-func ExampleTracerFunc() {
-	var kinds []string
+// signalNames is an EventSink that keeps the kind name of every event its
+// filter accepts.
+type signalNames struct {
+	keep  func(vrsim.Event) bool
+	names []string
+}
+
+func (s *signalNames) Event(ev vrsim.Event) {
+	if s.keep(ev) {
+		s.names = append(s.names, ev.Kind.String())
+	}
+}
+
+// ExampleNewProbe watches the first-level side of the Table 4 interface
+// signals of a synonym resolution on the probe stream.
+func ExampleNewProbe() {
+	keep, err := vrsim.ParseEventFilter("l1-hit,l1-miss,l1-replace,data-supply,invack,synonym")
+	if err != nil {
+		log.Fatal(err)
+	}
+	sink := &signalNames{keep: keep}
+	pr := vrsim.NewProbe()
+	pr.AddSink(sink)
 	sys, err := vrsim.New(vrsim.Config{
 		CPUs:         1,
 		Organization: vrsim.VR,
 		PageSize:     4096,
 		L1:           vrsim.Geometry{Size: 8 << 10, Block: 16, Assoc: 1},
 		L2:           vrsim.Geometry{Size: 64 << 10, Block: 32, Assoc: 1},
-		Tracer: vrsim.TracerFunc(func(s vrsim.Signal) {
-			kinds = append(kinds, s.Kind.String())
-		}),
+		Probe:        pr,
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -94,12 +111,12 @@ func ExampleTracerFunc() {
 		log.Fatal(err)
 	}
 	sys.Apply(vrsim.Ref{CPU: 0, Kind: vrsim.Read, PID: 1, Addr: 0x10000})
-	kinds = nil // keep only the synonym access's signals
+	sink.names = nil // keep only the synonym access's signals
 	sys.Apply(vrsim.Ref{CPU: 0, Kind: vrsim.Read, PID: 1, Addr: 0x31000})
-	for _, k := range kinds {
+	for _, k := range sink.names {
 		fmt.Println(k)
 	}
 	// Output:
-	// miss(v-pointer, r-pointer)
-	// move(v-pointer)
+	// l1-miss
+	// syn-move
 }

@@ -2,7 +2,9 @@
 // virtual addresses and take turns accessing it. The V-cache is virtually
 // addressed, so the copies would alias — the R-cache's reverse-translation
 // pointers detect every case and keep exactly one V-cache copy, moving or
-// retagging it as the name changes. Run with -v to watch each access.
+// retagging it as the name changes. Run with -v to watch each access, and
+// with -signals to watch every probe event, the Table 4 interface signals
+// among them, as the machine emits it.
 package main
 
 import (
@@ -15,18 +17,19 @@ import (
 
 func main() {
 	verbose := flag.Bool("v", false, "print every access")
-	signals := flag.Bool("signals", false, "print every Table 4 interface signal")
+	signals := flag.Bool("signals", false, "print every probe event, Table 4 signals included")
 	flag.Parse()
 
-	var tracer vrsim.Tracer
+	var pr *vrsim.Probe
 	if *signals {
-		tracer = vrsim.TracerFunc(func(s vrsim.Signal) { fmt.Println("   signal:", s) })
+		pr = vrsim.NewProbe()
+		pr.AddSink(printSink{})
 	}
 	sys, err := vrsim.New(vrsim.Config{
 		CPUs:         1,
 		Organization: vrsim.VR,
 		PageSize:     4096,
-		Tracer:       tracer,
+		Probe:        pr,
 		// An 8K virtually-indexed cache over 4K pages: virtual index bits
 		// exceed the page offset, so synonyms can land in different sets.
 		L1:          vrsim.Geometry{Size: 8 << 10, Block: 16, Assoc: 1},
@@ -92,3 +95,9 @@ func main() {
 		st.Synonyms[1], st.Synonyms[2], st.Synonyms[4])
 	fmt.Println("the data oracle verified every read returned the newest write")
 }
+
+// printSink prints each event as it is emitted, so the lines fall in order
+// with the -v access lines (an EventLog would buffer them until Close).
+type printSink struct{}
+
+func (printSink) Event(ev vrsim.Event) { fmt.Println("   event:", ev) }

@@ -279,10 +279,6 @@ type Options struct {
 	RLTEntries int
 	RLTAssoc   int
 
-	// Tracer, when set, observes every V<->R interface signal of the
-	// paper's Table 4 (see SignalKind).
-	Tracer Tracer
-
 	// Probe, when set, receives a typed event for every mechanism the
 	// hierarchy exercises (hits, misses, synonyms, write-buffer traffic,
 	// coherence messages, ...). Nil disables emission entirely; the hot

@@ -86,7 +86,6 @@ func (h *VR) snoopUpdate(a addr.PAddr, token uint64) bool {
 		se.VDirty = false
 		h.st.Coherence.Record(stats.MsgUpdate)
 		h.emit(probe.EvCohUpdate, 0, 0, a, token)
-		h.sig(SigUpdate, rptrOf(set, way, sub), se.VPtr, a)
 	}
 	h.rc.Line(set, way).State = rcache.Shared
 	return true
@@ -118,7 +117,6 @@ func (h *VR) snoopRead(a addr.PAddr) bus.SnoopResult {
 			se.VDirty = false
 			h.st.Coherence.Record(stats.MsgFlushBuffer)
 			h.emit(probe.EvCohFlushBuffer, 0, 0, subAddr, e.Token)
-			h.sig(SigFlushBuffer, rptrOf(set, way, i), rcache.VPtr{}, subAddr)
 			// flush(buffer) is one of the two events that stall the
 			// processor behind its write buffer: the flush occupies the
 			// bus and we wait for it to complete.
@@ -137,7 +135,6 @@ func (h *VR) snoopRead(a addr.PAddr) bus.SnoopResult {
 			se.VDirty = false
 			h.st.Coherence.Record(stats.MsgFlush)
 			h.emit(probe.EvCohFlush, 0, 0, subAddr, token)
-			h.sig(SigFlush, rptrOf(set, way, i), se.VPtr, subAddr)
 			res.Supplied = true
 		case se.RDirty:
 			// Modified only here: supply from the R-cache.
@@ -171,7 +168,6 @@ func (h *VR) snoopInvalidate(a addr.PAddr) {
 			}
 			h.st.Coherence.Record(stats.MsgInvalidateBuffer)
 			h.emit(probe.EvCohInvalidateBuffer, 0, 0, a, 0)
-			h.sig(SigInvalidateBuffer, rptrOf(set, way, i), rcache.VPtr{}, a)
 		}
 		if se.Inclusion {
 			// invalidate(v-pointer): only blocks actually present at the
@@ -180,7 +176,6 @@ func (h *VR) snoopInvalidate(a addr.PAddr) {
 			h.syn.Invalidated(h.rc.SubAddr(set, way, i))
 			h.st.Coherence.Record(stats.MsgInvalidate)
 			h.emit(probe.EvCohInvalidate, 0, 0, a, 0)
-			h.sig(SigInvalidate, rptrOf(set, way, i), se.VPtr, a)
 		}
 	}
 	h.rc.Invalidate(set, way)

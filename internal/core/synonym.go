@@ -117,7 +117,6 @@ func (h *VR) rltEvict(e rlt.Entry) {
 	child.Invalidate(e.VP.Set, e.VP.Way)
 	h.st.RLTEvictions++
 	h.emit(probe.EvRLTEvict, 0, 0, e.PA, 0)
-	h.sig(SigInvalidate, rp, e.VP, e.PA)
 }
 
 // victimInsert parks a first-level victim in the victim cache (when one is

@@ -215,7 +215,6 @@ func (h *VR) Access(ref trace.Ref) AccessResult {
 		vc.Touch(set, way)
 		l := vc.Line(set, way)
 		pa := h.rc.SubAddr(l.RPtr.Set, l.RPtr.Way, l.RPtr.Sub)
-		h.sig(SigHit, l.RPtr, rcache.VPtr{Cache: ci, Set: set, Way: way}, pa)
 		if h.pr != nil {
 			h.emit(probe.EvL1Hit, kind, ref.Addr, pa, l.Token)
 			if h.virtual {
@@ -294,9 +293,9 @@ func (h *VR) performWrite(vc *vcache.VCache, set, way int, rp vcache.RPtr, token
 		})
 		rl.State = rcache.Private
 	}
-	if !vc.Line(set, way).Dirty {
+	if h.pr != nil && !vc.Line(set, way).Dirty {
 		// The paper's invack: coherence is clear, the V-cache may update.
-		h.sig(SigInvAck, rp, rcache.VPtr{}, h.rc.SubAddr(rp.Set, rp.Way, rp.Sub))
+		h.emit(probe.EvInvAck, 0, 0, h.rc.SubAddr(rp.Set, rp.Way, rp.Sub), 0)
 	}
 	vc.WriteTouch(set, way, token)
 	se.VDirty = true
@@ -310,11 +309,11 @@ func (h *VR) fill(ci int, ref trace.Ref, kind statsKind, la addr.VAddr, paKnown 
 	isWrite := ref.Kind == trace.Write
 
 	// 1. Choose and dispose of the first-level victim, notifying the
-	// R-cache (replacement + hit/miss signals of Table 4).
+	// R-cache (Table 4's replacement signal).
 	vic := vc.PickVictim(ref.PID, la)
 	if vic.Present {
-		h.sig(SigReplacement, vic.RPtr, rcache.VPtr{Cache: ci, Set: vic.Set, Way: vic.Way}, 0)
 		vicPA := h.rc.SubAddr(vic.RPtr.Set, vic.RPtr.Way, vic.RPtr.Sub)
+		h.emit(probe.EvL1Replace, 0, 0, vicPA, 0)
 		h.evictVVictim(vic)
 		// The slot is logically empty from here on; the sameset synonym
 		// path below fills a different way and leaves this one free.
@@ -329,7 +328,6 @@ func (h *VR) fill(ci int, ref trace.Ref, kind statsKind, la addr.VAddr, paKnown 
 		pa = h.translate(ref.PID, ref.Addr)
 	}
 	paSub := h.subAlign(pa)
-	h.sig(SigMiss, vic.RPtr, rcache.VPtr{Cache: ci, Set: vic.Set, Way: vic.Way}, paSub)
 	vhit := h.victimTake(kind, ref.Addr, paSub)
 
 	// 3. Second-level lookup.
@@ -383,7 +381,6 @@ func (h *VR) fill(ci int, ref trace.Ref, kind statsKind, la addr.VAddr, paKnown 
 		se.VPtr = rcache.VPtr{Cache: ci, Set: fset, Way: fway}
 		h.syn.Installed(paSub, se.VPtr)
 		syn = SynBuffered
-		h.sig(SigSameSet, rp, se.VPtr, paSub)
 	case resident:
 		old := loc
 		if old.Cache == ci && old.Set == fset {
@@ -393,7 +390,6 @@ func (h *VR) fill(ci int, ref trace.Ref, kind statsKind, la addr.VAddr, paKnown 
 			vc.Retag(old.Set, old.Way, la, ref.PID)
 			fset, fway = old.Set, old.Way
 			syn = SynSameSet
-			h.sig(SigSameSet, rp, old, paSub)
 		} else {
 			// Different set (or the other cache of a split pair): move the
 			// copy, carrying its dirty state and data.
@@ -409,7 +405,6 @@ func (h *VR) fill(ci int, ref trace.Ref, kind statsKind, la addr.VAddr, paKnown 
 			} else {
 				syn = SynMove
 			}
-			h.sig(SigMove, rp, se.VPtr, paSub)
 		}
 	default:
 		vc.Install(fset, fway, la, ref.PID, rp, false, se.Token)
@@ -421,10 +416,9 @@ func (h *VR) fill(ci int, ref trace.Ref, kind statsKind, la addr.VAddr, paKnown 
 			// (the common direct-mapped sameset case): the R-cache just
 			// sets the inclusion bit back and retags — no data transfer.
 			syn = SynSameSet
-			h.sig(SigSameSet, rp, se.VPtr, paSub)
 		} else {
 			// No first-level copy anywhere: plain data supply.
-			h.sig(SigDataSupply, rp, se.VPtr, paSub)
+			h.emit(probe.EvDataSupply, kind, ref.Addr, paSub, 0)
 		}
 	}
 	h.st.Synonyms[syn]++
@@ -541,7 +535,6 @@ func (h *VR) evictRVictim(vic rcache.Victim) {
 			h.st.InclusionInvals++
 			h.st.Coherence.Record(stats.MsgInclusionInvalidate)
 			h.emit(probe.EvInclusionInval, 0, 0, subAddr, 0)
-			h.sig(SigInvalidate, rptrOf(vic.Set, vic.Way, i), se.VPtr, subAddr)
 		case se.RDirty:
 			h.opts.Mem.Write(subAddr, se.Token)
 			h.cy.BusWrite()
@@ -573,7 +566,6 @@ func (h *VR) drainEntry(e writebuf.Entry) {
 	se.VDirty = false
 	se.RDirty = true
 	se.Token = e.Token
-	h.sig(SigWriteBack, e.RPtr, rcache.VPtr{}, h.rc.SubAddr(e.RPtr.Set, e.RPtr.Way, e.RPtr.Sub))
 	// The drain occupies the bus but overlaps with subsequent hits: no
 	// processor time is charged here.
 	h.cy.BusWrite()

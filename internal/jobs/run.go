@@ -240,7 +240,7 @@ func marshalReport(v any) ([]byte, error) {
 // the attached observers stripped.
 func signature(wl tracegen.Config, mc machine, idx int, timed bool, p cycles.Params) string {
 	s := mc.cfg
-	s.Probe, s.Cycles, s.Audit, s.Tracer = nil, nil, nil, nil
+	s.Probe, s.Cycles, s.Audit = nil, nil, nil
 	s.ProbeEphemeral = false
 	return fmt.Sprintf("%s|machine[%d]=%+v|timed=%v|cycles=%+v", wl.Signature(), idx, s, timed, p)
 }

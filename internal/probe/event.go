@@ -102,6 +102,17 @@ const (
 	// additionally emits EvWriteBack with the WBRLT bit).
 	EvRLTEvict
 
+	// The three Table 4 V-cache/R-cache signals no other event reports
+	// (DESIGN.md §9 maps every signal to its kind), emitted only by the
+	// inclusive controllers: replacement, as a first-level miss picks a
+	// present victim (PA is the victim's block); data supply(r-pointer), as
+	// the R-cache fills a miss that found no first-level copy (the other
+	// outcome of the step whose synonym outcomes are the EvSyn* kinds); and
+	// invack, as a write to a clean first-level line clears coherence.
+	EvL1Replace
+	EvDataSupply
+	EvInvAck
+
 	// Timing charges from the cycle engine (internal/cycles). Aux carries
 	// the cycles charged; EvTimeAccess additionally sets Access to the
 	// reference class. The sum of a CPU's Aux values per kind equals the
@@ -166,6 +177,9 @@ var kindNames = [NumKinds]string{
 	EvVictimHit:           "victim-hit",
 	EvVictimInsert:        "victim-insert",
 	EvRLTEvict:            "rlt-evict",
+	EvL1Replace:           "l1-replace",
+	EvDataSupply:          "data-supply",
+	EvInvAck:              "invack",
 	EvTimeAccess:          "time-access",
 	EvTimeTLBMiss:         "time-tlb-miss",
 	EvTimeBusWait:         "time-bus-wait",
@@ -186,7 +200,7 @@ func (k Kind) String() string {
 // access, tlb, synonym, writebuf, coherence, bus, dma, ctx, victim, time.
 func (k Kind) Category() string {
 	switch k {
-	case EvL1Hit, EvL1Miss, EvL2Hit, EvL2Miss:
+	case EvL1Hit, EvL1Miss, EvL2Hit, EvL2Miss, EvL1Replace, EvDataSupply:
 		return "access"
 	case EvTLBHit, EvTLBMiss, EvTLBAbort:
 		return "tlb"
@@ -195,7 +209,7 @@ func (k Kind) Category() string {
 	case EvWriteBack, EvWBEnqueue, EvWBDrain, EvWBCancel, EvWBFlush, EvWBStall:
 		return "writebuf"
 	case EvInclusionInval, EvCohInvalidate, EvCohFlush, EvCohInvalidateBuffer,
-		EvCohFlushBuffer, EvCohUpdate, EvCohProbe, EvShielded:
+		EvCohFlushBuffer, EvCohUpdate, EvCohProbe, EvShielded, EvInvAck:
 		return "coherence"
 	case EvBusRead, EvBusReadMod, EvBusInvalidate, EvBusUpdate:
 		return "bus"

@@ -93,9 +93,6 @@ type Config struct {
 	// either.
 	RLTEntries int
 	RLTAssoc   int
-	// Tracer, when set, observes every hierarchy's Table 4 interface
-	// signals (Signal.CPU attributes them).
-	Tracer core.Tracer
 	// Probe, when set, receives typed events from every hierarchy, the
 	// bus, and any DMA agents (see internal/probe). Nil disables all
 	// emission.
@@ -215,7 +212,6 @@ func New(cfg Config) (*System, error) {
 			NaiveL2Replacement: cfg.NaiveL2Replacement,
 			L1WriteThrough:     cfg.L1WriteThrough,
 			VictimEntries:      cfg.VictimEntries,
-			Tracer:             cfg.Tracer,
 			Probe:              cfg.Probe,
 			Cycles:             cfg.Cycles,
 		}

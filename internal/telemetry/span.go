@@ -163,8 +163,8 @@ func mechanismOf(level int) string {
 // event); its first buffered clock is the root's start and its final
 // reconstructed clock the root's end. Functional events become instant
 // markers, timing charges become intervals, and second-level markers
-// (synonym resolutions, L2 lookups, bus transactions) nest under the
-// service interval they belong to.
+// (synonym resolutions or data supply, L2 lookups, bus transactions) nest
+// under the service interval they belong to.
 func (t *Tracer) buildTree() *Span {
 	primary := -1
 	var acc stats.AccessKind
@@ -250,7 +250,8 @@ func (t *Tracer) buildTree() *Span {
 				level = 3
 			}
 			addMarker(te, true)
-		case probe.EvSynSameSet, probe.EvSynMove, probe.EvSynCross, probe.EvSynBuffered:
+		case probe.EvSynSameSet, probe.EvSynMove, probe.EvSynCross, probe.EvSynBuffered,
+			probe.EvDataSupply:
 			addMarker(te, onPrimary)
 		case probe.EvBusRead, probe.EvBusReadMod, probe.EvBusInvalidate, probe.EvBusUpdate:
 			addMarker(te, onPrimary)

@@ -142,16 +142,6 @@ type (
 // makes device traffic need no reverse translation.
 type DMA = system.DMA
 
-// Signal tracing: a Tracer attached through Config.Tracer observes every
-// V-cache/R-cache interface signal of the paper's Table 4 as the
-// controllers raise them.
-type (
-	Signal     = core.Signal
-	SignalKind = core.SignalKind
-	Tracer     = core.Tracer
-	TracerFunc = core.TracerFunc
-)
-
 // Trace record kinds.
 const (
 	IFetch    = trace.IFetch
@@ -195,8 +185,10 @@ func RunWorkload(sys *System, cfg WorkloadConfig) error {
 // reference kind, TLB activity and aborted lookups, synonym resolutions,
 // write-buffer traffic, inclusion invalidations, coherence messages reaching
 // (or shielded from) the first level, bus transactions, DMA, and context
-// switches. A nil Probe in Config disables collection entirely; the hot
-// paths then pay only a nil check.
+// switches. Every V-cache/R-cache interface signal of the paper's Table 4
+// arrives as one of these events (EvL1Replace, EvDataSupply and EvInvAck
+// report the three no other kind does). A nil Probe in Config disables
+// collection entirely; the hot paths then pay only a nil check.
 type (
 	// Probe collects events; attach sinks with AddSink and Close at the
 	// end of a run.
@@ -277,6 +269,9 @@ const (
 	EvVictimHit           = probe.EvVictimHit
 	EvVictimInsert        = probe.EvVictimInsert
 	EvRLTEvict            = probe.EvRLTEvict
+	EvL1Replace           = probe.EvL1Replace
+	EvDataSupply          = probe.EvDataSupply
+	EvInvAck              = probe.EvInvAck
 	EvTimeAccess          = probe.EvTimeAccess
 	EvTimeTLBMiss         = probe.EvTimeTLBMiss
 	EvTimeBusWait         = probe.EvTimeBusWait
