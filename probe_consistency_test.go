@@ -4,7 +4,9 @@ package vrsim_test
 // in internal/stats is mirrored by exactly one probe event at the emission
 // site, so summing the event stream must reproduce the counters exactly —
 // for each organization and for the policy variants that exercise the
-// remaining event kinds (eager flush, write-update, write-through).
+// remaining event kinds (eager flush, write-update, write-through). The
+// Table 4 kinds no counter mirrors obey a fill identity instead: every
+// first-level fill ends in exactly one data supply or synonym resolution.
 
 import (
 	"fmt"
@@ -153,6 +155,28 @@ func verifyEventsMatchStats(t *testing.T, cfg vrsim.Config, sys *vrsim.System, p
 		}
 		eq("coherence messages to L1", coh, st.Coherence.Total())
 
+		// Fill identity: every first-level miss that fills (all of them,
+		// except a write-through L1's non-allocating write misses) ends in
+		// one data supply or one synonym resolution. The no-inclusion
+		// baseline has no Table 4 interface and emits none of its kinds.
+		var fills uint64
+		for _, k := range stats.Kinds() {
+			if !cfg.L1WriteThrough || k != stats.KindWrite {
+				fills += st.L1.ByKind[k].Misses()
+			}
+		}
+		supplied := c.kinds[probe.EvDataSupply]
+		for _, k := range synKinds {
+			supplied += c.kinds[k]
+		}
+		if cfg.Organization == vrsim.RRNoInclusion {
+			eq("replacements", c.kinds[probe.EvL1Replace], 0)
+			eq("data supplies", c.kinds[probe.EvDataSupply], 0)
+			eq("invacks", c.kinds[probe.EvInvAck], 0)
+		} else {
+			eq("data supplies + synonym resolutions", supplied, fills)
+		}
+
 		// When a cycle engine rode the run, the timing events' durations
 		// must sum to exactly the engine's per-CPU cycle counters.
 		if eng := sys.Cycles(); eng != nil {
@@ -190,6 +214,11 @@ func verifyEventsMatchStats(t *testing.T, cfg vrsim.Config, sys *vrsim.System, p
 	if total.Of(probe.EvL1Miss) == 0 || total.Of(probe.EvCtxSwitch) == 0 ||
 		(!cfg.L1WriteThrough && total.Of(probe.EvWriteBack) == 0) {
 		t.Errorf("workload too small to exercise the hierarchy: %v", total.Map())
+	}
+	if cfg.Organization != vrsim.RRNoInclusion &&
+		(total.Of(probe.EvL1Replace) == 0 || total.Of(probe.EvDataSupply) == 0 ||
+			(!cfg.L1WriteThrough && total.Of(probe.EvInvAck) == 0)) {
+		t.Errorf("workload too small to raise the Table 4 signals: %v", total.Map())
 	}
 	if cfg.VictimEntries > 0 && total.Of(probe.EvVictimInsert) == 0 {
 		t.Errorf("victim cache configured but never filled: %v", total.Map())
