@@ -102,6 +102,16 @@ done
 go run -race ./cmd/vrsim -preset pops -scale 0.02 -audit -audit-every 1000 -org vr -victim 4 > /dev/null
 go run -race ./cmd/vrsim -preset pops -scale 0.02 -audit -audit-every 1000 -org rlt -rlt-entries 16 -victim 4 > /dev/null
 
+# The Table 4 interface signals ride the probe stream: the synonym demo,
+# printing each event as it is emitted, must show a data supply and an
+# invack (P1's cold write) and a synonym move (P2's read under its own
+# name), and end with the data oracle's verdict.
+echo "== Table 4 signals on the probe stream (examples/synonym -signals)"
+go run ./examples/synonym -signals > "$tmp/synonym.out"
+for want in "cpu0 data-supply " "cpu0 invack " "cpu0 syn-move " "data oracle verified"; do
+    grep -q -- "$want" "$tmp/synonym.out" || { echo "synonym demo: no \"$want\" line" >&2; exit 1; }
+done
+
 # Telemetry: the tracing/attribution layer under the race detector (its
 # on-demand dump path crosses goroutines), then an end-to-end flight-recorder
 # smoke — a run with an injected audit violation must exit non-zero and leave
