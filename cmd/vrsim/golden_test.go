@@ -16,14 +16,19 @@ import (
 	"testing"
 
 	"repro/internal/autotune"
+	"repro/internal/experiments"
 	"repro/internal/tracegen"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite the testdata/golden digests from the current outputs")
 
-// goldenScale keeps each corpus run to 6-17 thousand references, so the
-// whole matrix of 245 cells takes a few seconds.
+// goldenScale keeps each vrsim run of the corpus to 6-17 thousand
+// references, so its 245 cells take a few seconds.
 const goldenScale = 0.005
+
+// experimentsScale is the trace scale of the experiments cells: every
+// paper artifact in about a second.
+const experimentsScale = 0.01
 
 var (
 	buildLine = regexp.MustCompile(`(?m)^build:.*$`)
@@ -50,8 +55,9 @@ func goldenOptions(preset string) options {
 // TestGoldenCorpus pins the byte-exact output of the surfaces that build
 // machines: vrsim's text and JSON reports across presets, organizations,
 // victim caches and timing; the observability outputs of the probe sinks
-// (see addObservabilityCells); -compare; and the candidates of the paper
-// grammar and of ci.sh's autotune grammar. Only SHA-256 digests are
+// (see addObservabilityCells); -compare; every experiment of
+// cmd/experiments, one cell each; and the candidates of the paper grammar
+// and of ci.sh's autotune grammar. Only SHA-256 digests are
 // committed (testdata/golden/vrsim.sha256); regenerate them with
 //
 //	go test ./cmd/vrsim -run TestGoldenCorpus -update
@@ -86,6 +92,13 @@ func TestGoldenCorpus(t *testing.T) {
 			t.Fatalf("compare/%s: %v", preset, err)
 		}
 		cells.add("compare/"+preset, out.Bytes())
+	}
+	for _, e := range experiments.All() {
+		var out bytes.Buffer
+		if err := e.Run(&out, experimentsScale); err != nil {
+			t.Fatalf("experiments/%s: %v", e.ID, err)
+		}
+		cells.add("experiments/"+e.ID, out.Bytes())
 	}
 	wl, err := tracegen.PresetByName("pops")
 	if err != nil {
