@@ -68,16 +68,12 @@ func main() {
 	list := flag.Bool("list", false, "list experiment ids and exit")
 	parallel := flag.Int("parallel", runtime.NumCPU(),
 		"experiments to run concurrently (they are independent; capped at NumCPU)")
-	shards := flag.Int("shards", 0,
-		"split each untimed sweep's run into this many parallel time shards (approximate; hit ratios agree within ~1e-3); timed sweeps run unsharded")
-	warmup := flag.Uint64("warmup", 65536, "warm-up references per time shard (-shards)")
 	version := flag.Bool("version", false, "print build information and exit")
 	flag.Parse()
 	if *version {
 		fmt.Println("experiments", telemetry.Build())
 		return
 	}
-	experiments.SetSharding(*shards, *warmup)
 
 	if *list {
 		for _, e := range experiments.All() {

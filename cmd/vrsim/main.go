@@ -77,9 +77,6 @@ type options struct {
 	checkpointFile string // save a checkpoint here after -checkpoint-at records
 	checkpointAt   uint64 // trace records to run before saving
 	restoreFile    string // resume a run from this checkpoint
-	shards         int    // time-sharded run with this many windows
-	shardMode      string // exact | approx
-	warmup         uint64 // approximate-shard warm-up, references
 
 	traceSpans      string // write sampled causal spans as an OTLP-style JSON file (-timed)
 	spanChrome      string // write sampled causal spans as nested Chrome trace events (-timed)
@@ -165,10 +162,6 @@ func main() {
 	flag.Uint64Var(&o.checkpointAt, "checkpoint-at", 0,
 		"trace records to simulate before saving the -checkpoint file")
 	flag.StringVar(&o.restoreFile, "restore", "", "resume the run from this checkpoint file")
-	flag.IntVar(&o.shards, "shards", 0, "split the run into this many time shards and simulate them in parallel")
-	flag.StringVar(&o.shardMode, "shard-mode", "approx",
-		"sharded-run mode: approx (warm-up windows) or exact (checkpoint-verified)")
-	flag.Uint64Var(&o.warmup, "warmup", 65536, "warm-up references per approximate shard (-shards)")
 	flag.StringVar(&o.traceSpans, "trace-spans", "",
 		"write sampled causal span trees to this OTLP-style JSON file (requires -timed)")
 	flag.StringVar(&o.spanChrome, "trace-spans-chrome", "",
@@ -468,9 +461,6 @@ func run(o options, stdout, stderr io.Writer) error {
 	if wlCfg != nil {
 		sc.PageSize = wlCfg.PageSize
 	}
-	if o.shards > 0 {
-		return runSharded(o, stdout, sc, *wlCfg)
-	}
 	sys, err := system.New(sc)
 	if err != nil {
 		return err
@@ -508,8 +498,7 @@ func run(o options, stdout, stderr io.Writer) error {
 		}
 		// The fresh generator built above replays from record zero; skip it
 		// forward to the checkpoint's cursor and continue from there.
-		fresh := reader
-		if reader, err = checkpoint.ResumeReader(func() (trace.Reader, error) { return fresh, nil }, ck); err != nil {
+		if err := checkpoint.ResumeReader(reader, ck.Cursor); err != nil {
 			return err
 		}
 	}
@@ -755,51 +744,50 @@ func validateTelemetryFlags(o options) error {
 	return nil
 }
 
-// validateCheckpointFlags rejects flag combinations the checkpoint and
-// shard machinery cannot honor: both need a trace that is regenerable from
-// its seed (so only -preset runs qualify), and neither can serialize a
-// probe's event cursors, a periodic auditor's schedule, or the monitoring
-// server's live state.
+// validateCheckpointFlags rejects flag combinations the checkpoint layer
+// cannot honor. Both -checkpoint and -restore need a trace that is
+// regenerable from its seed (so only -preset runs qualify), and neither can
+// serialize a probe's event cursors, a periodic auditor's schedule, or the
+// monitoring server's live state. A -checkpoint run stops at its cut and
+// prints one line, so it takes no flag that shapes a report.
 func validateCheckpointFlags(o options) error {
-	active := 0
-	for _, on := range []bool{o.checkpointFile != "", o.restoreFile != "", o.shards > 0} {
-		if on {
-			active++
-		}
+	if o.checkpointAt > 0 && o.checkpointFile == "" {
+		return fmt.Errorf("-checkpoint-at needs -checkpoint FILE")
 	}
-	if active == 0 {
-		if o.checkpointAt > 0 {
-			return fmt.Errorf("-checkpoint-at needs -checkpoint FILE")
-		}
+	if o.checkpointFile == "" && o.restoreFile == "" {
 		return nil
 	}
-	if active > 1 {
-		return fmt.Errorf("-checkpoint, -restore and -shards are mutually exclusive")
+	if o.checkpointFile != "" && o.restoreFile != "" {
+		return fmt.Errorf("-checkpoint and -restore are mutually exclusive")
 	}
 	if o.preset == "" {
-		return fmt.Errorf("-checkpoint/-restore/-shards need -preset: the trace must be regenerable from its seed")
+		return fmt.Errorf("-checkpoint/-restore need -preset: the trace must be regenerable from its seed")
 	}
 	if o.events || o.chromeTrace != "" || o.metricsEvery > 0 {
-		return fmt.Errorf("event probes cannot be checkpointed or sharded; drop -events/-chrome-trace/-metrics-every")
+		return fmt.Errorf("event probes cannot be checkpointed; drop -events/-chrome-trace/-metrics-every")
 	}
 	if o.telemetryActive() || o.injectViolation {
-		return fmt.Errorf("the telemetry layer cannot be checkpointed or sharded; " +
+		return fmt.Errorf("the telemetry layer cannot be checkpointed; " +
 			"drop -trace-spans/-attr/-flightrec/-inject-violation")
 	}
 	if o.auditEvery > 0 {
-		return fmt.Errorf("periodic audits cannot be checkpointed or sharded; use final-only -audit")
+		return fmt.Errorf("periodic audits cannot be checkpointed; drop -audit-every " +
+			"(a -restore run takes final-only -audit)")
 	}
 	if o.httpAddr != "" {
-		return fmt.Errorf("-http is not supported with -checkpoint/-restore/-shards")
+		return fmt.Errorf("-http is not supported with -checkpoint/-restore")
 	}
 	if o.hist {
-		return fmt.Errorf("-hist is not supported with -checkpoint/-restore/-shards")
+		return fmt.Errorf("-hist is not supported with -checkpoint/-restore")
 	}
-	if o.checkpointFile != "" && o.checkpointAt == 0 {
-		return fmt.Errorf("-checkpoint needs -checkpoint-at N")
-	}
-	if o.shards > 0 && o.shardMode != "approx" && o.shardMode != "exact" {
-		return fmt.Errorf("unknown -shard-mode %q (want approx or exact)", o.shardMode)
+	if o.checkpointFile != "" {
+		if o.checkpointAt == 0 {
+			return fmt.Errorf("-checkpoint needs -checkpoint-at N")
+		}
+		if o.jsonOut || o.audit || o.snapshot != "" {
+			return fmt.Errorf("-checkpoint saves the machine and exits without a report; " +
+				"drop -json/-audit/-snapshot, or pass them to the -restore run")
+		}
 	}
 	return nil
 }
@@ -812,92 +800,6 @@ func runSignature(sc system.Config, wl *tracegen.Config, o options) string {
 	s.Probe, s.Cycles, s.Audit = nil, nil, nil
 	return fmt.Sprintf("%s|machine=%+v|timed=%v|cycles=%+v",
 		wl.Signature(), s, o.timed, o.cycleParams())
-}
-
-// runSharded splits the preset trace into -shards windows and simulates
-// them in parallel, then reports on the stitched result. Approximate mode
-// warms each shard with -warmup references; exact mode replays from
-// checkpoints of a sequential prior pass and byte-verifies every boundary.
-func runSharded(o options, stdout io.Writer, sc system.Config, wl tracegen.Config) error {
-	opts := checkpoint.ShardOptions{
-		Shards:    o.shards,
-		Warmup:    o.warmup,
-		TotalRefs: uint64(wl.TotalRefs),
-		Exact:     o.shardMode == "exact",
-		Signature: runSignature(sc, &wl, o),
-		NewSystem: func() (*system.System, error) {
-			scc := sc
-			scc.Probe, scc.Cycles, scc.Audit = nil, nil, nil
-			if o.timed {
-				eng, err := cycles.New(o.cycleParams(), nil)
-				if err != nil {
-					return nil, err
-				}
-				scc.Cycles = eng
-			}
-			if o.audit {
-				scc.Audit = audit.New(0)
-			}
-			sys, err := system.New(scc)
-			if err != nil {
-				return nil, err
-			}
-			if err := wl.SetupSharedMappings(sys.MMU()); err != nil {
-				return nil, err
-			}
-			return sys, nil
-		},
-		Source: func() (trace.Reader, error) {
-			g, err := tracegen.New(wl)
-			if err != nil {
-				return nil, err
-			}
-			return g, nil
-		},
-	}
-	sys, outcome, err := checkpoint.ShardedRun(opts)
-	if err != nil {
-		return err
-	}
-	aud := sys.Auditor()
-	if aud != nil {
-		aud.Audit(sys)
-	}
-	if o.snapshot != "" {
-		f, err := os.Create(o.snapshot)
-		if err != nil {
-			return err
-		}
-		if err := sys.AuditSnapshot().WriteJSON(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-	}
-	if o.jsonOut {
-		res := report.FromSystem(sys, sc)
-		res.Sharding = &report.ShardingInfo{
-			Mode:     outcome.Mode,
-			Shards:   outcome.Shards,
-			Warmup:   outcome.Warmup,
-			Verified: outcome.Verified,
-		}
-		if err := res.WriteJSON(stdout); err != nil {
-			return err
-		}
-	} else {
-		fmt.Fprintf(stdout, "sharded: mode=%s, shards=%d, warmup=%d, verified boundaries=%d\n",
-			outcome.Mode, outcome.Shards, outcome.Warmup, outcome.Verified)
-		printReport(stdout, sys, sc)
-	}
-	if aud != nil {
-		if n := aud.Total(); n > 0 {
-			return fmt.Errorf("audit: %d violation(s) across %d audits", n, aud.Audits())
-		}
-	}
-	return nil
 }
 
 func printReport(w io.Writer, sys *system.System, sc system.Config) {

@@ -210,6 +210,33 @@ func runRejections() []rejection {
 		{"hist without -timed", modRun(func(o *options) { o.hist = true }), false},
 		{"unwritable snapshot", modRun(func(o *options) { o.snapshot = "/nonexistent/dir/s.json" }), true},
 		{"unusable http address", modRun(func(o *options) { o.httpAddr = "256.0.0.1:bad" }), true},
+		// One row per rule of validateCheckpointFlags, bar its telemetry
+		// rule (telemetryRejections).
+		{"checkpoint-at without -checkpoint", modRun(func(o *options) { o.checkpointAt = 500 }), false},
+		{"checkpoint-at with -restore", modRun(func(o *options) { o.restoreFile, o.checkpointAt = "x.bin", 500 }), false},
+		{"checkpoint with -restore", modRun(func(o *options) {
+			o.checkpointFile, o.checkpointAt, o.restoreFile = "x.bin", 500, "y.bin"
+		}), false},
+		{"restore without -preset", modRun(func(o *options) {
+			o.preset, o.traceFile, o.restoreFile = "", "x.trc", "x.bin"
+		}), false},
+		{"event probe with -restore", modRun(func(o *options) { o.metricsEvery, o.restoreFile = 1000, "x.bin" }), false},
+		{"audit-every with -restore", modRun(func(o *options) { o.auditEvery, o.restoreFile = 1000, "x.bin" }), false},
+		{"http with -restore", modRun(func(o *options) { o.httpAddr, o.restoreFile = "127.0.0.1:0", "x.bin" }), false},
+		{"hist with -restore", modRun(func(o *options) {
+			o.timed, o.t1, o.t2, o.tm = true, 1, 4, 20
+			o.hist, o.restoreFile = true, "x.bin"
+		}), false},
+		{"checkpoint without -checkpoint-at", modRun(func(o *options) { o.checkpointFile = "x.bin" }), false},
+		{"json with -checkpoint", modRun(func(o *options) {
+			o.checkpointFile, o.checkpointAt, o.jsonOut = "x.bin", 500, true
+		}), false},
+		{"audit with -checkpoint", modRun(func(o *options) {
+			o.checkpointFile, o.checkpointAt, o.audit = "x.bin", 500, true
+		}), false},
+		{"snapshot with -checkpoint", modRun(func(o *options) {
+			o.checkpointFile, o.checkpointAt, o.snapshot = "x.bin", 500, "s.json"
+		}), false},
 	}
 }
 
@@ -218,6 +245,53 @@ func TestRunErrors(t *testing.T) {
 		if err := run(c.o, io.Discard, io.Discard); err == nil {
 			t.Errorf("%s: want error", c.name)
 		}
+		// A checkpoint row must be refused by its flags, before the x.bin
+		// it names is read or written.
+		ck := c.o.checkpointFile != "" || c.o.restoreFile != "" || c.o.checkpointAt > 0
+		if ck && validateCheckpointFlags(c.o) == nil {
+			t.Errorf("%s: validateCheckpointFlags accepts it", c.name)
+		}
+	}
+}
+
+// TestRunCheckpointRestore saves a run at record 2000 and restores it with
+// the report flags a -checkpoint run refuses: the restored run's JSON
+// report, audit and snapshot must be the uninterrupted run's.
+func TestRunCheckpointRestore(t *testing.T) {
+	dir := t.TempDir()
+	o := smallRun()
+	o.jsonOut, o.audit = true, true
+	o.snapshot = filepath.Join(dir, "want.json")
+	var want bytes.Buffer
+	if err := run(o, &want, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+
+	save := smallRun()
+	save.checkpointFile, save.checkpointAt = filepath.Join(dir, "ck.bin"), 2000
+	var line bytes.Buffer
+	if err := run(save, &line, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.HasPrefix(line.String(), "checkpoint: 2000 records saved") {
+		t.Errorf("-checkpoint printed %q", line.String())
+	}
+
+	o.restoreFile, o.snapshot = save.checkpointFile, filepath.Join(dir, "got.json")
+	var got bytes.Buffer
+	if err := run(o, &got, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(maskBuild(want.Bytes()), maskBuild(got.Bytes())) {
+		t.Errorf("restored report diverges:\nuninterrupted:\n%s\nrestored:\n%s", want.String(), got.String())
+	}
+	wantSnap, err := os.ReadFile(filepath.Join(dir, "want.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotSnap, err := os.ReadFile(o.snapshot)
+	if err != nil || !bytes.Equal(wantSnap, gotSnap) {
+		t.Errorf("restored snapshot diverges (%v)", err)
 	}
 }
 
@@ -416,10 +490,6 @@ func telemetryRejections() []rejection {
 			timed(o)
 			o.attr = true
 			o.checkpointFile, o.checkpointAt = "x.bin", 10
-		}), false},
-		{"telemetry with -shards", modRun(func(o *options) {
-			timed(o)
-			o.traceSpans, o.shards = "x.json", 2
 		}), false},
 		{"unwritable span file", modRun(func(o *options) {
 			timed(o)

@@ -141,15 +141,6 @@ func (b *Bus) ResetStats() { b.stats = Stats{} }
 // RestoreStats replaces the bus counters (checkpoint support).
 func (b *Bus) RestoreStats(s Stats) { b.stats = s }
 
-// AddStats folds another bus's counters into this one (the shard
-// stitcher's merge path).
-func (b *Bus) AddStats(o Stats) {
-	for i := range b.stats.ByKind {
-		b.stats.ByKind[i] += o.ByKind[i]
-	}
-	b.stats.Supplies += o.Supplies
-}
-
 // Issue broadcasts t to every snooper except the issuer and returns the
 // aggregated response.
 func (b *Bus) Issue(t Txn) SnoopResult {

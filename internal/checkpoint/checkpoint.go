@@ -4,19 +4,11 @@
 // in the deterministic trace, in a versioned canonical binary format. A
 // restored run continues byte-for-byte identically to one that was never
 // interrupted, which the package's differential tests verify against the
-// full JSON report.
+// full JSON report and, window by window, against the encoded state at
+// every checkpoint of a sequential run.
 //
-// On top of checkpoints the package builds time-sharded execution
-// (ShardedRun): the trace is split into K windows, regenerated per shard
-// from the seed, simulated on worker goroutines and stitched back
-// together. Exact mode resumes each window from a checkpoint written by a
-// sequential prior pass and byte-compares every shard's end state against
-// the next checkpoint — as much a verification harness for Save/Restore as
-// a parallel runner. Approximate mode runs each shard as one RunWindow on a
-// fresh machine — the skipped prefix only walks the MMU, a prefix of
-// references warms the caches — trading exactness for an embarrassingly
-// parallel run whose hit ratios match the sequential ones within a stated
-// tolerance.
+// The package also holds RunWindow, the skip, warm-up and measure loop the
+// autotuner's probe windows run on.
 package checkpoint
 
 import (
@@ -51,7 +43,7 @@ func Capture(sys *system.System, signature string, cursor uint64) (*Checkpoint, 
 // Restore loads c into sys, which must have been built from the same
 // configuration the checkpoint was captured from; the caller proves it by
 // presenting the matching signature. The caller is responsible for
-// positioning the trace reader at c.Cursor (trace.Skip on a regenerated
+// positioning the trace reader at c.Cursor (ResumeReader on a regenerated
 // stream).
 func Restore(sys *system.System, c *Checkpoint, signature string) error {
 	if c.Machine == nil {
@@ -77,19 +69,16 @@ func ReadFile(path string) (*Checkpoint, error) {
 	return Decode(data)
 }
 
-// ResumeReader regenerates a trace via source and positions it at c's
-// cursor, returning the reader ready for the next record.
-func ResumeReader(source func() (trace.Reader, error), c *Checkpoint) (trace.Reader, error) {
-	r, err := source()
+// ResumeReader positions r, a trace replayed from its first record, at
+// cursor: it skips that many records, context switches included, and fails
+// when the trace ends first.
+func ResumeReader(r trace.Reader, cursor uint64) error {
+	skipped, err := trace.Skip(r, cursor)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	skipped, err := trace.Skip(r, c.Cursor)
-	if err != nil {
-		return nil, err
+	if skipped != cursor {
+		return fmt.Errorf("checkpoint: trace ended after %d of %d records — wrong workload?", skipped, cursor)
 	}
-	if skipped != c.Cursor {
-		return nil, fmt.Errorf("checkpoint: trace ended after %d of %d records — wrong workload?", skipped, c.Cursor)
-	}
-	return r, nil
+	return nil
 }

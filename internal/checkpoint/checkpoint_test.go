@@ -2,7 +2,9 @@ package checkpoint
 
 import (
 	"bytes"
+	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/cache"
@@ -65,6 +67,21 @@ func signature(cfg system.Config, tc tracegen.Config) string {
 	return tc.Signature() + "|" + cfg.Organization.String()
 }
 
+// countingReader counts every record (references and context switches)
+// passing through: the trace cursor a checkpoint stores.
+type countingReader struct {
+	r trace.Reader
+	n uint64
+}
+
+func (c *countingReader) Next() (trace.Ref, error) {
+	ref, err := c.r.Next()
+	if err == nil {
+		c.n++
+	}
+	return ref, err
+}
+
 // runUninterrupted simulates the whole trace in one go.
 func runUninterrupted(t *testing.T, cfg system.Config, tc tracegen.Config) []byte {
 	t.Helper()
@@ -101,8 +118,8 @@ func runInterrupted(t *testing.T, cfg system.Config, tc tracegen.Config) []byte 
 	if err := Restore(second, ck2, sig); err != nil {
 		t.Fatal(err)
 	}
-	rr, err := ResumeReader(func() (trace.Reader, error) { return tracegen.MustNew(tc), nil }, ck2)
-	if err != nil {
+	rr := tracegen.MustNew(tc)
+	if err := ResumeReader(rr, ck2.Cursor); err != nil {
 		t.Fatal(err)
 	}
 	if err := second.Run(rr); err != nil {
@@ -174,8 +191,8 @@ func TestSaveRestoreWithTimingAndOracle(t *testing.T) {
 	if err := Restore(second, ck, sig); err != nil {
 		t.Fatal(err)
 	}
-	rr, err := ResumeReader(func() (trace.Reader, error) { return tracegen.MustNew(tc), nil }, ck)
-	if err != nil {
+	rr := tracegen.MustNew(tc)
+	if err := ResumeReader(rr, ck.Cursor); err != nil {
 		t.Fatal(err)
 	}
 	if err := second.Run(rr); err != nil {
@@ -187,8 +204,8 @@ func TestSaveRestoreWithTimingAndOracle(t *testing.T) {
 }
 
 // TestRestoreLeavesCheckpointIntact: a restored machine must own its state.
-// Running it on may not change the checkpoint it came from, which exact
-// sharding still encodes on another goroutine while the next shard runs.
+// Running it on may not change the checkpoint it came from, which its
+// caller may still hold and encode again.
 func TestRestoreLeavesCheckpointIntact(t *testing.T) {
 	tc := testWorkload(t, "pops", 0.005, 2)
 	victim := testMachine(system.VR, 2)
@@ -228,8 +245,8 @@ func TestRestoreLeavesCheckpointIntact(t *testing.T) {
 			if err := Restore(second, ck, sig); err != nil {
 				t.Fatal(err)
 			}
-			rr, err := ResumeReader(func() (trace.Reader, error) { return tracegen.MustNew(tc), nil }, ck)
-			if err != nil {
+			rr := tracegen.MustNew(tc)
+			if err := ResumeReader(rr, ck.Cursor); err != nil {
 				t.Fatal(err)
 			}
 			if _, err := second.RunRecords(rr, 5000); err != nil {
@@ -272,6 +289,24 @@ func TestRestoreRejectsMismatches(t *testing.T) {
 	tc2.CPUs = 2
 	if err := Restore(build(t, wrongCPUs, tc2), ck, sig); err == nil {
 		t.Error("restore into the wrong CPU count succeeded")
+	}
+}
+
+// TestResumeReaderPastEnd: a cursor beyond the trace's last record belongs
+// to another workload, so positioning a replay there must fail; a cursor
+// exactly at the end leaves nothing to run but is a valid position.
+func TestResumeReaderPastEnd(t *testing.T) {
+	tc := testWorkload(t, "pops", 0.001, 1)
+	records, err := trace.Skip(tracegen.MustNew(tc), math.MaxUint64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ResumeReader(tracegen.MustNew(tc), records); err != nil {
+		t.Errorf("cursor at the end of a %d-record trace: %v", records, err)
+	}
+	err = ResumeReader(tracegen.MustNew(tc), records+1)
+	if err == nil || !strings.Contains(err.Error(), "trace ended") {
+		t.Errorf("cursor past the end of a %d-record trace: err = %v", records, err)
 	}
 }
 

@@ -9,21 +9,19 @@ import (
 	"repro/internal/trace"
 )
 
-// Window is one approximate time shard: references [Start, End) are
+// Window is one approximate slice of a trace: references [Start, End) are
 // measured after a Warmup-reference prefix rebuilds cache and TLB contents
 // (clamped to Start when the window sits near the trace's head). Bounds are
-// in memory references; context switches pass through uncounted, exactly as
-// ShardedRun cuts its windows.
+// in memory references; context switches pass through uncounted.
 type Window struct {
 	Start, End uint64
 	Warmup     uint64
 }
 
 // RunWindow drives every system through one approximate window off a single
-// shared pass over r. It is the one skip, warm and measure loop: each of
-// ShardedRun's approximate shards is a RunWindow over one fresh system, and
-// each cell of the autotuner's 2D (configurations × time shards) schedule is
-// a RunWindow over that cell's configurations. The skipped prefix is still
+// shared pass over r. It is the one skip, warm and measure loop: each cell
+// of the autotuner's 2D (configurations × time shards) schedule is a
+// RunWindow over that cell's configurations. The skipped prefix is still
 // translated through every system's MMU so demand paging assigns frames in
 // first-touch order (physical indexing cannot diverge from a full run), the
 // warm-up is simulated and then discarded by ResetStats, and only

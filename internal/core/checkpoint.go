@@ -94,35 +94,6 @@ func (s *Stats) RestoreState(st StatsState) error {
 	return nil
 }
 
-// Merge folds another hierarchy's counters into s — the shard stitcher's
-// per-CPU merge path. Ratios, coherence counts and scalar counters add;
-// interval histograms merge bucket-wise (boundary-spanning intervals were
-// observed by neither shard, so the union is exact).
-func (s *Stats) Merge(o *Stats) error {
-	s.L1.Add(&o.L1)
-	s.L2.Add(&o.L2)
-	s.Coherence.Add(&o.Coherence)
-	for i := range s.Synonyms {
-		s.Synonyms[i] += o.Synonyms[i]
-	}
-	s.TLB.Hits += o.TLB.Hits
-	s.TLB.Misses += o.TLB.Misses
-	s.WriteBacks += o.WriteBacks
-	s.SwappedWriteBacks += o.SwappedWriteBacks
-	s.CtxSwitches += o.CtxSwitches
-	s.InclusionInvals += o.InclusionInvals
-	s.BufferStalls += o.BufferStalls
-	s.EagerFlushWriteBacks += o.EagerFlushWriteBacks
-	s.MemWritesDirect += o.MemWritesDirect
-	s.VictimHits += o.VictimHits
-	s.VictimInserts += o.VictimInserts
-	s.RLTEvictions += o.RLTEvictions
-	if err := s.WriteIntervals.Merge(o.WriteIntervals); err != nil {
-		return err
-	}
-	return s.WriteBackIntervals.Merge(o.WriteBackIntervals)
-}
-
 // NL1LineState is the exported form of the no-inclusion baseline's L1 line
 // payload.
 type NL1LineState struct {

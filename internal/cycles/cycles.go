@@ -355,32 +355,6 @@ func (e *Engine) RestoreState(st State) error {
 	return nil
 }
 
-// Merge folds another engine's measurements into this one (the shard
-// stitcher's merge path): per-agent clocks, references and breakdowns add,
-// as do the bus occupancy totals; the busy horizon becomes the larger of
-// the two, since merged shards never overlapped on a real bus.
-func (e *Engine) Merge(o *Engine) {
-	if o == nil {
-		return
-	}
-	for i := range o.agents {
-		a := e.agentFor(i)
-		oa := &o.agents[i]
-		a.clock += oa.clock
-		a.refs += oa.refs
-		a.bd.Access += oa.bd.Access
-		a.bd.TLB += oa.bd.TLB
-		a.bd.BusWait += oa.bd.BusWait
-		a.bd.Stall += oa.bd.Stall
-		a.bd.Ctx += oa.bd.Ctx
-	}
-	if o.busFree > e.busFree {
-		e.busFree = o.busFree
-	}
-	e.busBusy += o.busBusy
-	e.busTxns += o.busTxns
-}
-
 // CPU is one agent's nil-safe charging handle, held by its hierarchy.
 type CPU struct {
 	e  *Engine

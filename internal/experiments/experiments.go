@@ -11,7 +11,6 @@ import (
 	"sort"
 
 	"repro/internal/cache"
-	"repro/internal/checkpoint"
 	"repro/internal/sweep"
 	"repro/internal/system"
 	"repro/internal/trace"
@@ -149,59 +148,6 @@ func runWorkload(tc tracegen.Config, sc system.Config) (*system.System, *tracege
 // determinism test flips it to prove both produce byte-identical output.
 var useSweep = true
 
-// shardCount and shardWarmup, when shardCount > 1, route runSweep through
-// approximate time-sharded execution (internal/checkpoint): each machine
-// configuration's trace is split into shardCount windows simulated in
-// parallel, each warmed with shardWarmup references. Hit ratios then agree
-// with the sequential run to within the warm-up's residual (~1e-3 at 64K).
-// Timed sweeps stay unsharded: every shard would share the configuration's
-// one cycle engine. Set by SetSharding from cmd/experiments -shards.
-var (
-	shardCount  int
-	shardWarmup uint64
-)
-
-// SetSharding configures time-sharded sweeps. shards < 2 restores the
-// default single-pass engine.
-func SetSharding(shards int, warmup uint64) {
-	shardCount, shardWarmup = shards, warmup
-}
-
-// runSharded executes one configuration's run as shardCount parallel time
-// windows.
-func runSharded(tc tracegen.Config, sc system.Config) (*system.System, error) {
-	sys, _, err := checkpoint.ShardedRun(checkpoint.ShardOptions{
-		Shards:    shardCount,
-		Warmup:    shardWarmup,
-		TotalRefs: uint64(tc.TotalRefs),
-		Signature: tc.Signature() + "|" + sc.Organization.String(),
-		NewSystem: func() (*system.System, error) {
-			sys, err := system.New(sc)
-			if err != nil {
-				return nil, err
-			}
-			if err := tc.SetupSharedMappings(sys.MMU()); err != nil {
-				return nil, err
-			}
-			return sys, nil
-		},
-		Source: func() (trace.Reader, error) {
-			return tracegen.New(tc)
-		},
-	})
-	return sys, err
-}
-
-// hasCycles reports whether any configuration carries a cycle engine.
-func hasCycles(scs []system.Config) bool {
-	for _, sc := range scs {
-		if sc.Cycles != nil {
-			return true
-		}
-	}
-	return false
-}
-
 // runSweep drives one synthetic workload through every machine
 // configuration in scs. With the sweep engine, the trace is generated once
 // and broadcast to all systems, each simulating in its own goroutine; the
@@ -209,16 +155,6 @@ func hasCycles(scs []system.Config) bool {
 // returned systems parallel scs.
 func runSweep(tc tracegen.Config, scs []system.Config) ([]*system.System, error) {
 	systems := make([]*system.System, len(scs))
-	if shardCount > 1 && !hasCycles(scs) {
-		for i, sc := range scs {
-			sys, err := runSharded(tc, sc)
-			if err != nil {
-				return nil, err
-			}
-			systems[i] = sys
-		}
-		return systems, nil
-	}
 	for i, sc := range scs {
 		sys, err := system.New(sc)
 		if err != nil {

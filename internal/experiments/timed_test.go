@@ -178,22 +178,21 @@ func TestClocksNeverRunBackwards(t *testing.T) {
 
 // TestTimedSweepDeterminism pins the timed experiments' output: byte-
 // identical across repeated sweep runs, and byte-identical between the
-// sweep engine, the sequential reference loop and a -shards run (timed
-// sweeps run unsharded, so sharding must not change them). Timing
-// measurements ride the same reference-serial order as the functional
-// counters, so the sweep engine's fan-out must not perturb them.
+// sweep engine and the sequential reference loop. Timing measurements ride
+// the same reference-serial order as the functional counters, so the sweep
+// engine's fan-out must not perturb them.
 func TestTimedSweepDeterminism(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs every timed experiment four times")
+		t.Skip("runs every timed experiment three times")
 	}
-	defer func() { useSweep = true; SetSharding(0, 0) }()
+	defer func() { useSweep = true }()
 	for _, id := range []string{"timedpops", "timedthor", "timedabaqus"} {
 		e, err := ByID(id)
 		if err != nil {
 			t.Fatal(err)
 		}
 		t.Run(id, func(t *testing.T) {
-			var first, second, seq, sharded bytes.Buffer
+			var first, second, seq bytes.Buffer
 			useSweep = true
 			if err := e.Run(&first, testScale); err != nil {
 				t.Fatalf("sweep run 1: %v", err)
@@ -201,11 +200,6 @@ func TestTimedSweepDeterminism(t *testing.T) {
 			if err := e.Run(&second, testScale); err != nil {
 				t.Fatalf("sweep run 2: %v", err)
 			}
-			SetSharding(4, 5000)
-			if err := e.Run(&sharded, testScale); err != nil {
-				t.Fatalf("sharded: %v", err)
-			}
-			SetSharding(0, 0)
 			useSweep = false
 			if err := e.Run(&seq, testScale); err != nil {
 				t.Fatalf("sequential: %v", err)
@@ -217,10 +211,6 @@ func TestTimedSweepDeterminism(t *testing.T) {
 			if !bytes.Equal(first.Bytes(), seq.Bytes()) {
 				t.Errorf("output differs between sweep and sequential engines\n--- sweep ---\n%s\n--- sequential ---\n%s",
 					first.String(), seq.String())
-			}
-			if !bytes.Equal(first.Bytes(), sharded.Bytes()) {
-				t.Errorf("output differs between unsharded and -shards runs\n--- sweep ---\n%s\n--- sharded ---\n%s",
-					first.String(), sharded.String())
 			}
 		})
 	}

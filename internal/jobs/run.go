@@ -94,13 +94,12 @@ func (m *Manager) runSim(ctx context.Context, j *job) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	var reader trace.Reader = gen
 	var cursor uint64
 	if ck, ok, err := m.loadCheckpoint(j, machines, wl, timed, params, systems, windows); err != nil {
 		return nil, err
 	} else if ok {
 		cursor = ck
-		if reader, err = skipRecords(gen, cursor); err != nil {
+		if err := checkpoint.ResumeReader(gen, cursor); err != nil {
 			return nil, err
 		}
 		j.mu.Lock()
@@ -133,7 +132,7 @@ func (m *Manager) runSim(ctx context.Context, j *job) ([]byte, error) {
 			}
 			return nil, cause
 		}
-		n, rerr := trace.FillBatch(reader, buf[:cap(buf)])
+		n, rerr := trace.FillBatch(gen, buf[:cap(buf)])
 		if n > 0 {
 			for i, sys := range systems {
 				if err := sys.ApplyBatch(buf[:n]); err != nil {
@@ -243,18 +242,6 @@ func signature(wl tracegen.Config, mc machine, idx int, timed bool, p cycles.Par
 	s.Probe, s.Cycles, s.Audit = nil, nil, nil
 	s.ProbeEphemeral = false
 	return fmt.Sprintf("%s|machine[%d]=%+v|timed=%v|cycles=%+v", wl.Signature(), idx, s, timed, p)
-}
-
-// skipRecords positions a fresh reader at a checkpoint cursor.
-func skipRecords(r trace.Reader, cursor uint64) (trace.Reader, error) {
-	skipped, err := trace.Skip(r, cursor)
-	if err != nil {
-		return nil, err
-	}
-	if skipped != cursor {
-		return nil, fmt.Errorf("jobs: trace ended after %d of %d checkpointed records — wrong workload?", skipped, cursor)
-	}
-	return r, nil
 }
 
 // Checkpoint container: every system of a job checkpointed at one shared

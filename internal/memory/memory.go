@@ -77,13 +77,6 @@ func (m *Memory) Write(pa addr.PAddr, token uint64) {
 // tests.
 func (m *Memory) BlocksWritten() int { return len(m.data) }
 
-// AddStats folds another memory's traffic counters into this one (the
-// shard stitcher's merge path).
-func (m *Memory) AddStats(o Stats) {
-	m.stats.BlockReads += o.BlockReads
-	m.stats.BlockWrites += o.BlockWrites
-}
-
 // BlockToken is one written block's serializable form.
 type BlockToken struct {
 	Block uint64

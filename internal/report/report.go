@@ -118,17 +118,6 @@ type MonitorReport struct {
 	Occupancy []monitor.OccupancySummary `json:"occupancy,omitempty"`
 }
 
-// ShardingInfo records that the run was time-sharded (see
-// internal/checkpoint): statistics were stitched from Shards windows of
-// the trace, each warmed with Warmup references (approximate mode) or
-// resumed from a verified checkpoint (exact mode).
-type ShardingInfo struct {
-	Mode     string `json:"mode"`
-	Shards   int    `json:"shards"`
-	Warmup   uint64 `json:"warmupRefs,omitempty"`
-	Verified int    `json:"verifiedBoundaries,omitempty"`
-}
-
 // Results is a complete run summary.
 type Results struct {
 	Build       *telemetry.BuildInfo         `json:"build,omitempty"`
@@ -142,7 +131,6 @@ type Results struct {
 	Probe       *ProbeReport                 `json:"probe,omitempty"`
 	Audit       *AuditReport                 `json:"audit,omitempty"`
 	Monitor     *MonitorReport               `json:"monitor,omitempty"`
-	Sharding    *ShardingInfo                `json:"sharding,omitempty"`
 	Attribution *telemetry.AttributionReport `json:"attribution,omitempty"`
 }
 

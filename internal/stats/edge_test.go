@@ -127,23 +127,3 @@ func TestLevelStatsEmptyAggregates(t *testing.T) {
 		t.Errorf("empty + empty = %+v", agg)
 	}
 }
-
-func TestIntervalTrackerMergeEdgeCases(t *testing.T) {
-	a := NewIntervalTracker("t", 4)
-	b := NewIntervalTracker("t", 4)
-	// Empty merge is a no-op.
-	if err := a.Merge(b); err != nil {
-		t.Fatal(err)
-	}
-	if a.Histogram().Total() != 0 {
-		t.Errorf("empty merge produced %d observations", a.Histogram().Total())
-	}
-	// Merging nil is a no-op.
-	if err := a.Merge(nil); err != nil {
-		t.Fatal(err)
-	}
-	// Cap mismatch is an error.
-	if err := a.Merge(NewIntervalTracker("t", 5)); err == nil {
-		t.Error("cap-mismatched tracker merge succeeded")
-	}
-}

@@ -1,18 +1,15 @@
 package stats
 
 import (
-	"math/rand"
-	"reflect"
 	"testing"
 	"testing/quick"
 )
 
-// The shard stitcher (internal/checkpoint) reduces per-shard statistics
-// with LevelStats.Add, Ratio.Add and Histogram.Merge, in whatever grouping
-// the worker pool happens to produce. That is only sound if the merge
-// operations form a commutative monoid: commutative and associative with
-// the zero value as identity. These property tests prove it with
-// testing/quick over random operand values.
+// System.Aggregate sums every CPU's hit ratios with Ratio.Add and
+// LevelStats.Add, and its figures must not depend on the order it visits
+// the CPUs. That holds when the additions form a commutative monoid:
+// commutative and associative, with the zero value as identity. These
+// property tests check it with testing/quick over random operand values.
 
 // quickCfg sizes the random exploration.
 var quickCfg = &quick.Config{MaxCount: 200}
@@ -102,153 +99,5 @@ func TestQuickLevelStatsAddIdentity(t *testing.T) {
 	}
 	if err := quick.Check(f, quickCfg); err != nil {
 		t.Error(err)
-	}
-}
-
-// --- CoherenceStats ---
-
-func TestQuickCoherenceStatsAddProperties(t *testing.T) {
-	comm := func(a, b CoherenceStats) bool {
-		x, y := a, b
-		x.Add(&b)
-		y.Add(&a)
-		return x == y
-	}
-	if err := quick.Check(comm, quickCfg); err != nil {
-		t.Error("commutativity:", err)
-	}
-	ident := func(a CoherenceStats) bool {
-		x := a
-		x.Add(&CoherenceStats{})
-		return x == a
-	}
-	if err := quick.Check(ident, quickCfg); err != nil {
-		t.Error("identity:", err)
-	}
-}
-
-// --- Histogram ---
-
-// histSpec is a generatable description of a histogram's observations:
-// quick can't invent *Histogram values directly (unexported fields), so it
-// generates the observation stream instead and the test materializes it.
-type histSpec struct {
-	Values []uint16
-}
-
-// Generate implements quick.Generator.
-func (histSpec) Generate(r *rand.Rand, size int) reflect.Value {
-	n := r.Intn(size + 1)
-	s := histSpec{Values: make([]uint16, n)}
-	for i := range s.Values {
-		// Spread across buckets and the overflow region.
-		s.Values[i] = uint16(r.Intn(2 * histCap))
-	}
-	return reflect.ValueOf(s)
-}
-
-// histCap is the bucket cap every property-test histogram uses — Merge
-// requires equal caps, which the simulator guarantees by construction
-// (every shard builds its trackers from the same newStats path).
-const histCap = 10
-
-func (s histSpec) build() *Histogram {
-	h := NewHistogram("prop", histCap)
-	for _, v := range s.Values {
-		h.Observe(int(v))
-	}
-	return h
-}
-
-// histEqual compares complete observable state.
-func histEqual(a, b *Histogram) bool {
-	if a.Total() != b.Total() || a.Sum() != b.Sum() || a.Overflow() != b.Overflow() {
-		return false
-	}
-	for v := 0; v < histCap; v++ {
-		if a.Count(v) != b.Count(v) {
-			return false
-		}
-	}
-	return true
-}
-
-func TestQuickHistogramMergeCommutative(t *testing.T) {
-	f := func(a, b histSpec) bool {
-		x, y := a.build(), b.build()
-		if x.Merge(b.build()) != nil || y.Merge(a.build()) != nil {
-			return false
-		}
-		return histEqual(x, y)
-	}
-	if err := quick.Check(f, quickCfg); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestQuickHistogramMergeAssociative(t *testing.T) {
-	f := func(a, b, c histSpec) bool {
-		l := a.build()
-		if l.Merge(b.build()) != nil || l.Merge(c.build()) != nil {
-			return false
-		}
-		bc := b.build()
-		if bc.Merge(c.build()) != nil {
-			return false
-		}
-		r := a.build()
-		if r.Merge(bc) != nil {
-			return false
-		}
-		return histEqual(l, r)
-	}
-	if err := quick.Check(f, quickCfg); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestQuickHistogramMergeIdentity(t *testing.T) {
-	f := func(a histSpec) bool {
-		// Merging a fresh histogram in changes nothing; merging into a
-		// fresh histogram reproduces the operand.
-		x := a.build()
-		if x.Merge(NewHistogram("zero", histCap)) != nil {
-			return false
-		}
-		z := NewHistogram("zero", histCap)
-		if z.Merge(a.build()) != nil {
-			return false
-		}
-		return histEqual(x, a.build()) && histEqual(z, a.build())
-	}
-	if err := quick.Check(f, quickCfg); err != nil {
-		t.Error(err)
-	}
-}
-
-// TestQuickHistogramMergeEquivalentToConcatenation ties the algebra back
-// to its meaning: merging two histograms is observing the concatenated
-// stream.
-func TestQuickHistogramMergeEquivalentToConcatenation(t *testing.T) {
-	f := func(a, b histSpec) bool {
-		merged := a.build()
-		if merged.Merge(b.build()) != nil {
-			return false
-		}
-		concat := histSpec{Values: append(append([]uint16{}, a.Values...), b.Values...)}.build()
-		return histEqual(merged, concat)
-	}
-	if err := quick.Check(f, quickCfg); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestHistogramMergeCapMismatch(t *testing.T) {
-	a, b := NewHistogram("a", 4), NewHistogram("b", 5)
-	if err := a.Merge(b); err == nil {
-		t.Error("merging mismatched caps succeeded")
-	}
-	if err := a.Merge(nil); err != nil {
-		t.Errorf("merging nil: %v", err)
 	}
 }

@@ -87,26 +87,6 @@ func (h *Histogram) WriteTable(w io.Writer, min int) {
 	fmt.Fprintf(w, "%-16s %d\n", fmt.Sprintf("%d and larger", h.cap), h.over)
 }
 
-// Merge adds another histogram's observations into h. The two histograms
-// must share a bucket cap so per-bucket counts line up; names may differ
-// (h keeps its own). Merging is the bucket-wise sum, so it is commutative
-// and associative, and a fresh histogram is its identity.
-func (h *Histogram) Merge(o *Histogram) error {
-	if o == nil {
-		return nil
-	}
-	if h.cap != o.cap {
-		return fmt.Errorf("stats: merging histogram with cap %d into cap %d", o.cap, h.cap)
-	}
-	for i, v := range o.buckets {
-		h.buckets[i] += v
-	}
-	h.over += o.over
-	h.total += o.total
-	h.sum += o.sum
-	return nil
-}
-
 // HistogramState is a Histogram's serializable contents (checkpoint
 // support).
 type HistogramState struct {
@@ -309,13 +289,6 @@ func (c *CoherenceStats) Total() uint64 {
 // Get returns the count for one message kind.
 func (c *CoherenceStats) Get(m CoherenceMsg) uint64 { return c.ByMsg[m] }
 
-// Add merges another CoherenceStats into c.
-func (c *CoherenceStats) Add(o *CoherenceStats) {
-	for i := range c.ByMsg {
-		c.ByMsg[i] += o.ByMsg[i]
-	}
-}
-
 // String summarizes non-zero counters, sorted by kind.
 func (c *CoherenceStats) String() string {
 	var parts []string
@@ -360,17 +333,6 @@ func (t *IntervalTracker) Reset() { t.seen = false }
 
 // Histogram returns the interval histogram.
 func (t *IntervalTracker) Histogram() *Histogram { return t.hist }
-
-// Merge folds another tracker's interval histogram into t. The receiver
-// keeps its own clock and last-event position: intervals spanning the
-// boundary between two merged trackers were never observed by either, so
-// the merged histogram is exactly the union of both observation sets.
-func (t *IntervalTracker) Merge(o *IntervalTracker) error {
-	if o == nil {
-		return nil
-	}
-	return t.hist.Merge(o.hist)
-}
 
 // IntervalTrackerState is an IntervalTracker's serializable contents
 // (checkpoint support).

@@ -189,17 +189,6 @@ func TestCoherenceStats(t *testing.T) {
 	}
 }
 
-func TestCoherenceStatsAdd(t *testing.T) {
-	var a, b CoherenceStats
-	a.Record(MsgFlushBuffer)
-	b.Record(MsgFlushBuffer)
-	b.Record(MsgInclusionInvalidate)
-	a.Add(&b)
-	if a.Get(MsgFlushBuffer) != 2 || a.Get(MsgInclusionInvalidate) != 1 {
-		t.Errorf("Add wrong: %s", a.String())
-	}
-}
-
 func TestCoherenceMsgStrings(t *testing.T) {
 	msgs := []CoherenceMsg{MsgInvalidate, MsgFlush, MsgInvalidateBuffer,
 		MsgFlushBuffer, MsgInclusionInvalidate, MsgProbe}

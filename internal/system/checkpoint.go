@@ -124,34 +124,6 @@ func (s *System) RestoreState(st *MachineState) error {
 	return nil
 }
 
-// MergeStatsFrom folds o's statistics — per-CPU counters, bus and memory
-// traffic, cycle clocks and the reference count — into s. It is the shard
-// stitcher's reduction: each shard simulates one window of the trace, and
-// merging their counters reproduces the sequential run's totals (exactly
-// for pure counters, approximately for state-dependent ones like hit
-// ratios, which is the sharded mode's documented tolerance). Machine state
-// (caches, memory tokens) is not merged; only measurements are.
-func (s *System) MergeStatsFrom(o *System) error {
-	if len(o.cpus) != len(s.cpus) {
-		return fmt.Errorf("system: merging a %d-CPU machine into a %d-CPU machine", len(o.cpus), len(s.cpus))
-	}
-	if (o.cfg.Cycles != nil) != (s.cfg.Cycles != nil) {
-		return fmt.Errorf("system: merging machines that disagree about cycle timing")
-	}
-	for i, h := range s.cpus {
-		if err := h.Stats().Merge(o.cpus[i].Stats()); err != nil {
-			return fmt.Errorf("system: cpu %d: %w", i, err)
-		}
-	}
-	s.bus.AddStats(o.bus.Stats())
-	s.mem.AddStats(o.mem.Stats())
-	if s.cfg.Cycles != nil {
-		s.cfg.Cycles.Merge(o.cfg.Cycles)
-	}
-	s.refs += o.refs
-	return nil
-}
-
 // RunRecords drives exactly n records (memory references and context
 // switches both count) from r through the machine, without draining. It
 // returns the number of records actually applied, which is short only when

@@ -96,8 +96,9 @@ func (c *Counting) Characteristics() Characteristics { return c.chars }
 
 // Skip discards exactly n records (memory references and context switches
 // both count) from r, batched to amortize interface dispatch. It returns
-// the number discarded, short only when the trace ends first — the shard
-// runner uses it to position a regenerated trace at a checkpoint's cursor.
+// the number discarded, short only when the trace ends first —
+// checkpoint.ResumeReader uses it to position a regenerated trace at a
+// checkpoint's cursor.
 func Skip(r Reader, n uint64) (uint64, error) {
 	var done uint64
 	buf := make([]Ref, 4096)
