@@ -23,7 +23,7 @@ import (
 var updateGolden = flag.Bool("update", false, "rewrite the testdata/golden digests from the current outputs")
 
 // goldenScale keeps each vrsim run of the corpus to 6-17 thousand
-// references, so its 245 cells take a few seconds.
+// references, so its vrsim cells take a few seconds.
 const goldenScale = 0.005
 
 // experimentsScale is the trace scale of the experiments cells: every
@@ -55,7 +55,8 @@ func goldenOptions(preset string) options {
 // TestGoldenCorpus pins the byte-exact output of the surfaces that build
 // machines: vrsim's text and JSON reports across presets, organizations,
 // victim caches and timing; the observability outputs of the probe sinks
-// (see addObservabilityCells); -compare; every experiment of
+// (see addObservabilityCells); the audited report and the -snapshot file
+// (see addAuditCells); -compare; every experiment of
 // cmd/experiments, one cell each; and the candidates of the paper grammar
 // and of ci.sh's autotune grammar. Only SHA-256 digests are
 // committed (testdata/golden/vrsim.sha256); regenerate them with
@@ -86,6 +87,7 @@ func TestGoldenCorpus(t *testing.T) {
 			for _, timed := range []bool{false, true} {
 				addObservabilityCells(t, cells, preset, org, timed)
 			}
+			addAuditCells(t, cells, preset, org)
 		}
 		var out bytes.Buffer
 		if err := runCompare(goldenOptions(preset), &out); err != nil {
@@ -170,6 +172,27 @@ func addObservabilityCells(t *testing.T, cells corpus, preset, org string, timed
 		}
 		cells.add(name+"/"+kind, data)
 	}
+}
+
+// addAuditCells runs one preset and organization at -victim 0 under
+// -audit-every 1000 with -snapshot, and adds a cell for the text report
+// (which carries the audit summary) and one for the snapshot file.
+func addAuditCells(t *testing.T, cells corpus, preset, org string) {
+	t.Helper()
+	o := goldenOptions(preset)
+	o.org, o.auditEvery = org, 1000
+	o.snapshot = filepath.Join(t.TempDir(), "snapshot.json")
+	name := fmt.Sprintf("audit/%s/%s", preset, org)
+	var out bytes.Buffer
+	if err := run(o, &out, io.Discard); err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	cells.add(name+"/report", maskBuild(out.Bytes()))
+	data, err := os.ReadFile(o.snapshot)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	cells.add(name+"/snapshot", data)
 }
 
 // corpus holds each cell's SHA-256 and the start of its output, not the
