@@ -171,9 +171,6 @@ type Hierarchy interface {
 	Drain()
 	// Stats exposes the hierarchy's counters.
 	Stats() *Stats
-	// Check validates internal invariants (inclusion, pointer round-trips,
-	// buffer-bit consistency); test harnesses call it after every access.
-	Check() error
 	// Snapshot copies the hierarchy's structural state for the audit
 	// layer's invariant checks and diffable JSON dumps.
 	Snapshot() *audit.CPUSnapshot

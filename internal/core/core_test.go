@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/addr"
+	"repro/internal/audit"
 	"repro/internal/bus"
 	"repro/internal/cache"
 	"repro/internal/memory"
@@ -14,8 +15,8 @@ import (
 )
 
 // rig is a miniature multiprocessor: n hierarchies on one bus, one MMU, one
-// memory, plus a sequential-consistency oracle. Every access re-validates
-// every hierarchy's invariants.
+// memory, plus a sequential-consistency oracle. Every access runs the audit
+// checker over every hierarchy.
 type rig struct {
 	t      *testing.T
 	mmu    *vm.MMU
@@ -76,15 +77,13 @@ func newRig(t *testing.T, n int, mk mkFunc, tweak func(*Options)) *rig {
 	return r
 }
 
-// access applies one reference, checks invariants on every hierarchy, and
-// checks the data oracle.
+// access applies one reference, audits the whole machine, and checks the
+// data oracle.
 func (r *rig) access(cpu int, kind trace.Kind, pid addr.PID, va addr.VAddr) AccessResult {
 	r.t.Helper()
 	res := r.hs[cpu].Access(trace.Ref{CPU: uint8(cpu), Kind: kind, PID: pid, Addr: va})
-	for i, h := range r.hs {
-		if err := h.Check(); err != nil {
-			r.t.Fatalf("cpu %d invariants after %v %v by cpu %d: %v", i, kind, va, cpu, err)
-		}
+	if found := machineSnapshot(r).Check(); len(found) != 0 {
+		r.t.Fatalf("audit after %v %v by cpu %d: %v", kind, va, cpu, found)
 	}
 	if !res.CtxSwitch {
 		if kind == trace.Write {
@@ -97,6 +96,15 @@ func (r *rig) access(cpu int, kind trace.Kind, pid addr.PID, va addr.VAddr) Acce
 		}
 	}
 	return res
+}
+
+// machineSnapshot assembles the cross-CPU snapshot the system layer would.
+func machineSnapshot(r *rig) *audit.Snapshot {
+	s := &audit.Snapshot{Organization: "test", CPUs: make([]*audit.CPUSnapshot, 0, len(r.hs))}
+	for _, h := range r.hs {
+		s.CPUs = append(s.CPUs, h.Snapshot())
+	}
+	return s
 }
 
 func (r *rig) read(cpu int, pid addr.PID, va addr.VAddr) AccessResult {
@@ -616,11 +624,7 @@ func TestDrainFlushesBuffer(t *testing.T) {
 	r.write(0, 1, 0x000)
 	r.read(0, 1, 0x080) // dirty victim parked in buffer
 	r.hs[0].Drain()
-	for _, h := range r.hs {
-		if err := h.Check(); err != nil {
-			t.Fatal(err)
-		}
-	}
+	requireClean(t, r)
 }
 
 func TestAccessResultLevel(t *testing.T) {

@@ -102,9 +102,7 @@ func TestDrainMidRunThenContinue(t *testing.T) {
 	w := r.write(0, 1, 0x000)
 	r.read(0, 1, 0x080) // dirty victim parked in buffer
 	r.hs[0].Drain()
-	if err := r.hs[0].Check(); err != nil {
-		t.Fatal(err)
-	}
+	requireClean(t, r)
 	got := r.read(0, 1, 0x000)
 	if got.Token != w.Token {
 		t.Fatalf("data lost across mid-run drain: %d want %d", got.Token, w.Token)
@@ -112,9 +110,7 @@ func TestDrainMidRunThenContinue(t *testing.T) {
 	// Draining an empty buffer is a no-op.
 	r.hs[0].Drain()
 	r.hs[0].Drain()
-	if err := r.hs[0].Check(); err != nil {
-		t.Fatal(err)
-	}
+	requireClean(t, r)
 }
 
 // TestSnoopAbsentBlock checks that transactions for blocks we do not hold
@@ -132,9 +128,7 @@ func TestSnoopAbsentBlock(t *testing.T) {
 		t.Error("RMW snoop of absent block reported a copy")
 	}
 	h.SnoopBus(bus.Txn{Kind: bus.Invalidate, From: 99, Addr: 0xF000, Size: 32})
-	if err := h.Check(); err != nil {
-		t.Fatal(err)
-	}
+	requireClean(t, r)
 	if h.Stats().Coherence.Total() != 0 {
 		t.Error("absent-block snoops generated L1 messages")
 	}
@@ -237,7 +231,5 @@ func TestNoInclusionDrainNoop(t *testing.T) {
 	r := newRig(t, 1, niMk, nil)
 	r.write(0, 1, 0x100)
 	r.hs[0].Drain() // no write buffer: must be a safe no-op
-	if err := r.hs[0].Check(); err != nil {
-		t.Fatal(err)
-	}
+	requireClean(t, r)
 }

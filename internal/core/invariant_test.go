@@ -1,29 +1,27 @@
 package core
 
 import (
-	"strings"
 	"testing"
 
+	"repro/internal/audit"
 	"repro/internal/rcache"
 	"repro/internal/vcache"
 )
 
-// These tests corrupt hierarchy state deliberately and assert that Check
-// reports each class of violation — validating the validator.
+// These tests corrupt hierarchy state deliberately and assert that the
+// audit checker attributes each corruption to the invariant it breaks —
+// validating the validator against live machines.
 
 func corruptibleVR(t *testing.T) (*rig, *VR) {
 	t.Helper()
 	r := newRig(t, 1, vrMk, nil)
 	r.write(0, 1, 0x100) // one dirty resident line
 	r.read(0, 1, 0x200)  // one clean resident line
-	h := r.hs[0].(*VR)
-	if err := h.Check(); err != nil {
-		t.Fatalf("precondition: %v", err)
-	}
-	return r, h
+	requireClean(t, r)
+	return r, r.hs[0].(*VR)
 }
 
-// findResident returns the location and line of some resident V line.
+// findResident returns the location of the first resident V line.
 func findResident(h *VR) (set, way int) {
 	found := false
 	h.vcs[0].ForEachPresent(func(s, w int, _ *vcache.Line) {
@@ -36,39 +34,31 @@ func findResident(h *VR) (set, way int) {
 }
 
 func TestCheckDetectsClearedInclusion(t *testing.T) {
-	_, h := corruptibleVR(t)
+	r, h := corruptibleVR(t)
 	set, way := findResident(h)
 	rp := h.vcs[0].Line(set, way).RPtr
 	h.rc.Sub(rp.Set, rp.Way, rp.Sub).Inclusion = false
-	err := h.Check()
-	if err == nil || !strings.Contains(err.Error(), "inclusion clear") {
-		t.Errorf("Check = %v, want inclusion-clear violation", err)
-	}
+	requireFlagged(t, r, audit.InvInclusion, true)
 }
 
 func TestCheckDetectsBrokenVPointer(t *testing.T) {
-	_, h := corruptibleVR(t)
+	r, h := corruptibleVR(t)
 	set, way := findResident(h)
 	rp := h.vcs[0].Line(set, way).RPtr
 	h.rc.Sub(rp.Set, rp.Way, rp.Sub).VPtr = rcache.VPtr{Cache: 0, Set: set + 1, Way: way}
-	if err := h.Check(); err == nil {
-		t.Error("broken v-pointer not detected")
-	}
+	requireFlagged(t, r, audit.InvReciprocity, true)
 }
 
 func TestCheckDetectsDirtyMismatch(t *testing.T) {
-	_, h := corruptibleVR(t)
+	r, h := corruptibleVR(t)
 	set, way := findResident(h)
 	l := h.vcs[0].Line(set, way)
 	l.Dirty = !l.Dirty
-	if err := h.Check(); err == nil || !strings.Contains(err.Error(), "VDirty") {
-		t.Errorf("Check = %v, want dirty mismatch", err)
-	}
+	requireFlagged(t, r, audit.InvDirtyBits, true)
 }
 
 func TestCheckDetectsPhantomBufferBit(t *testing.T) {
 	r, h := corruptibleVR(t)
-	_ = r
 	// Set a buffer bit on a childless subentry with nothing buffered.
 	var done bool
 	h.rc.ForEachValid(func(set, way int, l *rcache.Line) {
@@ -87,13 +77,11 @@ func TestCheckDetectsPhantomBufferBit(t *testing.T) {
 	if !done {
 		t.Skip("no childless subentry available")
 	}
-	if err := h.Check(); err == nil {
-		t.Error("phantom buffer bit not detected")
-	}
+	requireFlagged(t, r, audit.InvBufferBit, true)
 }
 
 func TestCheckDetectsDanglingVDirty(t *testing.T) {
-	_, h := corruptibleVR(t)
+	r, h := corruptibleVR(t)
 	var done bool
 	h.rc.ForEachValid(func(set, way int, l *rcache.Line) {
 		if done {
@@ -110,27 +98,24 @@ func TestCheckDetectsDanglingVDirty(t *testing.T) {
 	if !done {
 		t.Skip("no childless subentry available")
 	}
-	if err := h.Check(); err == nil || !strings.Contains(err.Error(), "VDirty without") {
-		t.Errorf("Check = %v, want dangling VDirty", err)
-	}
+	requireFlagged(t, r, audit.InvDirtyBits, true)
 }
 
 func TestCheckDetectsOrphanedParentLine(t *testing.T) {
-	_, h := corruptibleVR(t)
+	r, h := corruptibleVR(t)
 	set, way := findResident(h)
 	rp := h.vcs[0].Line(set, way).RPtr
 	// Invalidate the parent line under the child's feet.
 	h.rc.Invalidate(rp.Set, rp.Way)
-	if err := h.Check(); err == nil {
-		t.Error("orphaned child not detected")
-	}
+	requireFlagged(t, r, audit.InvInclusion, true)
 }
 
 func TestCheckDetectsCountMismatch(t *testing.T) {
-	_, h := corruptibleVR(t)
+	r, h := corruptibleVR(t)
 	// Mark an extra inclusion bit with a v-pointer that points at a
-	// present line already owned by another subentry: pointer round-trip
-	// fails or counts diverge.
+	// present line already owned by another subentry: the inclusion-bit
+	// count exceeds the first-level line count, and the line's r-pointer
+	// cannot round-trip to both subentries.
 	set, way := findResident(h)
 	var done bool
 	h.rc.ForEachValid(func(s, w int, l *rcache.Line) {
@@ -149,9 +134,8 @@ func TestCheckDetectsCountMismatch(t *testing.T) {
 	if !done {
 		t.Skip("no spare subentry")
 	}
-	if err := h.Check(); err == nil {
-		t.Error("duplicated child ownership not detected")
-	}
+	requireFlagged(t, r, audit.InvInclusion, false)
+	requireFlagged(t, r, audit.InvReciprocity, false)
 }
 
 func TestNoInclusionCheckDetectsSharedDirty(t *testing.T) {
@@ -170,7 +154,5 @@ func TestNoInclusionCheckDetectsSharedDirty(t *testing.T) {
 	if !corrupted {
 		t.Fatal("no dirty line to corrupt")
 	}
-	if err := h.Check(); err == nil {
-		t.Error("shared-dirty L1 line not detected")
-	}
+	requireFlagged(t, r, audit.InvCoherence, true)
 }

@@ -360,56 +360,3 @@ func (h *RRNoInclusion) flushL2Subs(s2, w2 int, l *rcache.Line, res *bus.SnoopRe
 		}
 	}
 }
-
-// Check validates the baseline's invariants: dirty blocks are held
-// privately at the level that owns them.
-func (h *RRNoInclusion) Check() error {
-	var err error
-	h.l1.ForEachValid(func(set, way int) {
-		if err != nil {
-			return
-		}
-		l := h.l1.Line(set, way)
-		if l.dirty && l.state != rcache.Private {
-			err = fmt.Errorf("L1[%d.%d] dirty but %v", set, way, l.state)
-		}
-	})
-	if err != nil {
-		return err
-	}
-	h.l2.ForEachValid(func(set, way int, l *rcache.Line) {
-		if err != nil {
-			return
-		}
-		for i := range l.Subs {
-			if l.Subs[i].RDirty && l.State != rcache.Private {
-				err = fmt.Errorf("L2[%d.%d.%d] dirty but %v", set, way, i, l.State)
-			}
-			if l.Subs[i].Inclusion || l.Subs[i].Buffer || l.Subs[i].VDirty {
-				err = fmt.Errorf("L2[%d.%d.%d] inclusion machinery used in no-inclusion baseline", set, way, i)
-			}
-		}
-	})
-	if err != nil {
-		return err
-	}
-	h.vic.ForEach(func(pa addr.PAddr, token uint64) {
-		if err != nil {
-			return
-		}
-		set, tag := h.l1.Locate(uint64(pa))
-		if _, ok := h.l1.Probe(set, tag); ok {
-			err = fmt.Errorf("victim entry %#x also resident at the first level", uint64(pa))
-			return
-		}
-		s2, w2, ok := h.l2.Lookup(pa)
-		if !ok {
-			err = fmt.Errorf("victim entry %#x not contained in the second level", uint64(pa))
-			return
-		}
-		if se := h.l2.Sub(s2, w2, h.l2.SubIndex(pa)); se.Token != token {
-			err = fmt.Errorf("victim entry %#x token %d, second level holds %d", uint64(pa), token, se.Token)
-		}
-	})
-	return err
-}
