@@ -31,6 +31,7 @@ go test -run '^$' -fuzz '^FuzzTextParse$' -fuzztime 10s ./internal/trace
 go test -run '^$' -fuzz '^FuzzCheckpointRoundTrip$' -fuzztime 10s ./internal/checkpoint
 go test -run '^$' -fuzz '^FuzzJobConfigDecode$' -fuzztime 10s ./internal/jobs
 go test -run '^$' -fuzz '^FuzzConfigValidate$' -fuzztime 10s ./internal/system
+go test -run '^$' -fuzz '^FuzzSnapshotJSON$' -fuzztime 10s ./internal/audit
 
 echo "== coverage floors (internal/checkpoint, internal/stats, internal/jobs, internal/tsdb, internal/victim, internal/rlt, internal/probe, internal/telemetry)"
 for pkg in internal/checkpoint internal/stats internal/jobs internal/tsdb internal/victim internal/rlt \

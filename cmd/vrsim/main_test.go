@@ -597,4 +597,12 @@ func TestRunInjectedViolation(t *testing.T) {
 	if err := printBundle(io.Discard, filepath.Join(dir, "missing.json")); err == nil {
 		t.Fatal("-verify-bundle on a missing file must error")
 	}
+	nullCPU := filepath.Join(dir, "null-cpu.json")
+	if err := os.WriteFile(nullCPU, []byte(`{"trigger":"x","ref":0,"events":[],`+
+		`"snapshot":{"organization":"x","references":0,"cpus":[null]}}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := printBundle(io.Discard, nullCPU); err == nil {
+		t.Fatal("-verify-bundle on a snapshot with a null CPU entry must error")
+	}
 }

@@ -2,6 +2,7 @@ package audit
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 )
 
@@ -166,11 +167,26 @@ func (s *Snapshot) WriteJSON(w io.Writer) error {
 	return enc.Encode(s)
 }
 
-// ParseJSON reads a snapshot back (round-trip support for tooling).
+// ParseJSON reads a snapshot back (round-trip support for tooling). It
+// rejects what Validate rejects.
 func ParseJSON(r io.Reader) (*Snapshot, error) {
 	var s Snapshot
 	if err := json.NewDecoder(r).Decode(&s); err != nil {
 		return nil, err
 	}
+	if err := s.Validate(); err != nil {
+		return nil, err
+	}
 	return &s, nil
+}
+
+// Validate rejects a decoded snapshot that Check cannot walk: one with a
+// null CPU entry.
+func (s *Snapshot) Validate() error {
+	for i, cs := range s.CPUs {
+		if cs == nil {
+			return fmt.Errorf("audit: snapshot CPU entry %d is null", i)
+		}
+	}
+	return nil
 }

@@ -83,6 +83,11 @@ func ParseBundle(r io.Reader) (*Bundle, error) {
 	if b.Trigger == "" {
 		return nil, errors.New("telemetry: bundle has no trigger")
 	}
+	if b.Snapshot != nil {
+		if err := b.Snapshot.Validate(); err != nil {
+			return nil, fmt.Errorf("telemetry: parse bundle: %w", err)
+		}
+	}
 	return &b, nil
 }
 

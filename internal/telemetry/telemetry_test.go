@@ -339,6 +339,12 @@ func TestParseBundleRejectsGarbage(t *testing.T) {
 	if _, err := ReadBundle(filepath.Join(t.TempDir(), "missing.json")); err == nil {
 		t.Fatal("missing file must error")
 	}
+	// A null CPU entry would crash the checker on the bundle's snapshot.
+	nullCPU := `{"trigger":"x","ref":0,"events":[],` +
+		`"snapshot":{"organization":"x","references":0,"cpus":[null]}}`
+	if _, err := ParseBundle(strings.NewReader(nullCPU)); err == nil {
+		t.Fatal("a snapshot with a null CPU entry must be rejected")
+	}
 }
 
 func TestAttributionBlameAndHitters(t *testing.T) {
