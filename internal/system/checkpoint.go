@@ -150,26 +150,3 @@ func (s *System) RunRecords(r trace.Reader, n uint64) (uint64, error) {
 	}
 	return done, nil
 }
-
-// RunRefs drives records from r until n memory references have been applied
-// (context switches are applied but not counted), without draining. It
-// returns the number counted, short only when the trace ends first.
-func (s *System) RunRefs(r trace.Reader, n uint64) (uint64, error) {
-	var done uint64
-	for done < n {
-		ref, err := r.Next()
-		if errors.Is(err, io.EOF) {
-			return done, nil
-		}
-		if err != nil {
-			return done, err
-		}
-		if _, err := s.Apply(ref); err != nil {
-			return done, err
-		}
-		if ref.Kind != trace.CtxSwitch {
-			done++
-		}
-	}
-	return done, nil
-}
