@@ -259,6 +259,92 @@ func TestRestoreLeavesCheckpointIntact(t *testing.T) {
 	}
 }
 
+// draws sums the random-source draws recorded in every tag store of a
+// machine state.
+func draws(m *system.MachineState) uint64 {
+	var n uint64
+	for _, h := range m.CPUs {
+		for _, vc := range h.VCaches {
+			n += vc.Draws
+		}
+		if h.L1 != nil {
+			n += h.L1.Draws
+		}
+		n += h.RCache.Draws + h.TLB.Draws
+	}
+	return n
+}
+
+// TestSaveRestoreRandomPolicy covers Random replacement, whose caches
+// record how many values they drew and replay that many from the seed on
+// restore. A checkpoint taken before the first draw and one taken after
+// many must both continue into exactly the final state of the run that
+// was never interrupted.
+func TestSaveRestoreRandomPolicy(t *testing.T) {
+	tc := testWorkload(t, "pops", 0.003, 2)
+	for _, org := range []system.Organization{system.VR, system.RRInclusion, system.RRNoInclusion} {
+		t.Run(org.String(), func(t *testing.T) {
+			cfg := testMachine(org, 2)
+			cfg.L1.Assoc = 2
+			cfg.L1Policy, cfg.L2Policy = cache.Random, cache.Random
+			sig := signature(cfg, tc)
+
+			whole := build(t, cfg, tc)
+			records, err := whole.RunRecords(tracegen.MustNew(tc), math.MaxUint64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			whole.Drain()
+			final, err := Capture(whole, sig, records)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if draws(final.Machine) == 0 {
+				t.Fatal("the uninterrupted run never drew from a random source")
+			}
+			want := final.Encode()
+
+			for _, at := range []uint64{20, records / 2} {
+				first := build(t, cfg, tc)
+				if _, err := first.RunRecords(tracegen.MustNew(tc), at); err != nil {
+					t.Fatal(err)
+				}
+				ck, err := Capture(first, sig, at)
+				if err != nil {
+					t.Fatal(err)
+				}
+				switch d := draws(ck.Machine); {
+				case at == 20 && d != 0:
+					t.Fatalf("checkpoint at record 20 follows %d draws, want none", d)
+				case at > 20 && d < 100:
+					t.Fatalf("checkpoint at record %d follows only %d draws", at, d)
+				}
+				if ck, err = Decode(ck.Encode()); err != nil {
+					t.Fatal(err)
+				}
+				second := build(t, cfg, tc)
+				if err := Restore(second, ck, sig); err != nil {
+					t.Fatal(err)
+				}
+				rr := tracegen.MustNew(tc)
+				if err := ResumeReader(rr, ck.Cursor); err != nil {
+					t.Fatal(err)
+				}
+				if err := second.Run(rr); err != nil {
+					t.Fatal(err)
+				}
+				got, err := Capture(second, sig, records)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got.Encode(), want) {
+					t.Errorf("restored at record %d: final state diverges from the uninterrupted run's", at)
+				}
+			}
+		})
+	}
+}
+
 // TestRestoreRejectsMismatches exercises the validation paths a wrong
 // resume must hit instead of corrupting a simulation.
 func TestRestoreRejectsMismatches(t *testing.T) {
