@@ -162,8 +162,8 @@ type Cache[L any] struct {
 	sets   [][]way[L]
 	slab   []way[L] // backing for lazily materialized sets
 	clock  uint64
-	rng    *rand.Rand
-	rngSrc *countingSource
+	rng    *rand.Rand      // nil until the first Random draw
+	rngSrc *countingSource // rng's source; nil with it
 	seed   int64
 
 	// Shift/mask fields derived from geom at construction, so the
@@ -205,13 +205,10 @@ func New[L any](g Geometry, policy Policy, seed int64) (*Cache[L], error) {
 		return nil, err
 	}
 	sets := make([][]way[L], g.Sets())
-	src := &countingSource{src: rand.NewSource(seed)}
 	return &Cache[L]{
 		geom:      g,
 		policy:    policy,
 		sets:      sets,
-		rng:       rand.New(src),
-		rngSrc:    src,
 		seed:      seed,
 		blockBits: g.BlockBits(),
 		setBits:   g.SetBits(),
@@ -337,6 +334,9 @@ func (c *Cache[L]) pick(set int, filter func(set, wayIdx int) bool) int {
 		if n == 0 {
 			return -1
 		}
+		if c.rng == nil {
+			c.seedRNG(0)
+		}
 		k := c.rng.Intn(n)
 		for i := range ws {
 			if filter == nil || filter(set, i) {
@@ -437,6 +437,18 @@ type Entry[L any] struct {
 	Line  L
 }
 
+// seedRNG creates the Random-policy source from the construction seed and
+// advances it past draws values. Caches create it on their first draw, not
+// in New: LRU and FIFO caches never draw, and seeding a source costs more
+// than building the rest of a small cache.
+func (c *Cache[L]) seedRNG(draws uint64) {
+	c.rngSrc = &countingSource{src: rand.NewSource(c.seed)}
+	c.rng = rand.New(c.rngSrc)
+	for d := uint64(0); d < draws; d++ {
+		c.rngSrc.Int63()
+	}
+}
+
 // State is a tag store's serializable state: the recency clock, the rng
 // draw count (Random replacement only), and every way in (set, way) order.
 // The payloads are shallow copies; callers whose payload holds reference
@@ -451,7 +463,10 @@ type State[L any] struct {
 // deterministic (set, way) order so identical caches export identical
 // states.
 func (c *Cache[L]) ExportState() State[L] {
-	s := State[L]{Clock: c.clock, Draws: c.rngSrc.n, Ways: make([]Entry[L], 0, len(c.sets)*c.geom.Assoc)}
+	s := State[L]{Clock: c.clock, Ways: make([]Entry[L], 0, len(c.sets)*c.geom.Assoc)}
+	if c.rngSrc != nil {
+		s.Draws = c.rngSrc.n
+	}
 	for _, ws := range c.sets {
 		if ws == nil {
 			// Never-materialized sets export as zero entries, identical to
@@ -486,12 +501,10 @@ func (c *Cache[L]) RestoreState(s State[L]) error {
 		}
 	}
 	c.clock = s.Clock
-	c.rngSrc = &countingSource{src: rand.NewSource(c.seed)}
-	c.rng = rand.New(c.rngSrc)
-	for d := uint64(0); d < s.Draws; d++ {
-		c.rngSrc.Int63()
+	c.rng, c.rngSrc = nil, nil
+	if s.Draws > 0 {
+		c.seedRNG(s.Draws)
 	}
-	c.rngSrc.n = s.Draws
 	// Restore materializes every set: a payload may carry meaningful state
 	// even on an invalid line (the V-cache keeps swapped blocks there), so
 	// no set can be skipped as trivially empty.

@@ -219,6 +219,59 @@ func TestRandomVictimDeterministicSeed(t *testing.T) {
 	}
 }
 
+// TestRandomSourceOnFirstDraw: only a Random cache's first victim choice
+// among valid ways creates its source. LRU and FIFO caches never create
+// one; a Random cache that has not drawn exports no draws and restores
+// without one; and a restored cache continues the drawn sequence.
+func TestRandomSourceOnFirstDraw(t *testing.T) {
+	g := Geometry{Size: 64, Block: 16, Assoc: 4}
+	fill := func(c *Cache[int]) {
+		for tag := uint64(1); tag <= 4; tag++ {
+			w, _ := c.Victim(0, nil)
+			c.Install(0, w, tag)
+		}
+	}
+	for _, p := range []Policy{LRU, FIFO} {
+		c := MustNew[int](g, p, 7)
+		fill(c)
+		for i := 0; i < 8; i++ {
+			w, _ := c.Victim(0, nil)
+			c.Install(0, w, uint64(10+i))
+		}
+		if c.rng != nil || c.rngSrc != nil {
+			t.Errorf("%v cache created a random source", p)
+		}
+	}
+
+	c := MustNew[int](g, Random, 7)
+	fill(c) // invalid ways are taken without a draw
+	if c.rng != nil || c.ExportState().Draws != 0 {
+		t.Fatal("filling invalid ways drew from the random source")
+	}
+	fresh := MustNew[int](g, Random, 7)
+	if err := fresh.RestoreState(c.ExportState()); err != nil {
+		t.Fatal(err)
+	}
+	if fresh.rng != nil {
+		t.Error("restoring a state with no draws created a random source")
+	}
+	for i := 0; i < 5; i++ {
+		c.Victim(0, nil)
+	}
+	if d := c.ExportState().Draws; d == 0 {
+		t.Fatal("five victim choices recorded no draws")
+	}
+	if err := fresh.RestoreState(c.ExportState()); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 16; i++ {
+		want, _ := c.Victim(0, nil)
+		if got, _ := fresh.Victim(0, nil); got != want {
+			t.Fatalf("restored cache's victim %d = way %d, want way %d", i, got, want)
+		}
+	}
+}
+
 func TestVictimPreference(t *testing.T) {
 	c := MustNew[int](Geometry{Size: 64, Block: 16, Assoc: 4}, LRU, 0)
 	for tag := uint64(1); tag <= 4; tag++ {

@@ -7,8 +7,8 @@
 // full JSON report and, window by window, against the encoded state at
 // every checkpoint of a sequential run.
 //
-// The package also holds RunWindow, the skip, warm-up and measure loop the
-// autotuner's probe windows run on.
+// The package also holds Prefix and RunWindow, the shared skip and the
+// warm-up and measure loop the autotuner's probe windows run on.
 package checkpoint
 
 import (

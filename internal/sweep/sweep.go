@@ -102,8 +102,7 @@ func (o *Options) resolve(n int) (workers int) {
 // failure; the error of the lowest-indexed failing job is returned, so the
 // result is deterministic regardless of scheduling. The sweep engine's
 // fan-out covers many systems on one trace; Parallel is the complementary
-// primitive — independent jobs, each with its own trace — used by the
-// autotuner's cell scheduler.
+// primitive — independent jobs — used by the autotuner's cell scheduler.
 func Parallel(n, workers int, job func(i int) error) error {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)

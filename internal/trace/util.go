@@ -119,26 +119,6 @@ func Skip(r Reader, n uint64) (uint64, error) {
 	return done, nil
 }
 
-// SkipRefs discards records from r until n memory references have passed
-// (context switches are discarded but not counted). It returns the number
-// of memory references counted, short only when the trace ends first.
-func SkipRefs(r Reader, n uint64) (uint64, error) {
-	var done uint64
-	for done < n {
-		ref, err := r.Next()
-		if err == io.EOF {
-			return done, nil
-		}
-		if err != nil {
-			return done, err
-		}
-		if ref.Kind != CtxSwitch {
-			done++
-		}
-	}
-	return done, nil
-}
-
 // gzipMagic is the 2-byte gzip stream header.
 var gzipMagic = [2]byte{0x1f, 0x8b}
 

@@ -9,6 +9,7 @@ package vm
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 
 	"repro/internal/addr"
@@ -242,6 +243,23 @@ func (m *MMU) ExportState() State {
 		st.Spaces = append(st.Spaces, ss)
 	}
 	return st
+}
+
+// CopyFrom makes m a copy of src: the same page tables, allocation horizon
+// and counters, in maps m owns. src is only read, so several MMUs may copy
+// one snapshot at once. The page sizes must match.
+func (m *MMU) CopyFrom(src *MMU) error {
+	if m.geom != src.geom {
+		return fmt.Errorf("vm: cannot copy a %d-byte-page MMU into a %d-byte-page one",
+			src.geom.Size(), m.geom.Size())
+	}
+	m.nextFrame = src.nextFrame
+	m.stats = src.stats
+	m.spaces = make(map[addr.PID]*space, len(src.spaces))
+	for pid, s := range src.spaces {
+		m.spaces[pid] = &space{pages: maps.Clone(s.pages)}
+	}
+	return nil
 }
 
 // RestoreState replaces the page tables and counters. Every mapped frame

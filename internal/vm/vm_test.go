@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -233,5 +234,39 @@ func TestStats(t *testing.T) {
 func TestNewBadPageSize(t *testing.T) {
 	if _, err := New(1000); err == nil {
 		t.Fatal("page size 1000 should be rejected")
+	}
+}
+
+// TestCopyFrom: a copy holds exactly the source's page tables and counters,
+// diverges from it without touching it, and replaces whatever the target
+// held before; a different page size is refused.
+func TestCopyFrom(t *testing.T) {
+	src := MustNew(4096)
+	if err := src.MapShared(1, 0x40000, src.NewSegment(2*4096)); err != nil {
+		t.Fatal(err)
+	}
+	src.Translate(1, 0x1000)
+	src.Translate(2, 0x3000)
+	want := src.ExportState()
+
+	dst := MustNew(4096)
+	dst.Translate(7, 0x9000) // replaced by the copy
+	if err := dst.CopyFrom(src); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(dst.ExportState(), want) {
+		t.Errorf("copy = %+v, want %+v", dst.ExportState(), want)
+	}
+	dst.Translate(1, 0x5000)
+	dst.Translate(3, 0x5000)
+	if !reflect.DeepEqual(src.ExportState(), want) {
+		t.Error("translating through the copy changed its source")
+	}
+	if got, want := dst.FramesInUse(), src.FramesInUse()+2; got != want {
+		t.Errorf("copy allocated up to frame %d, want %d", got, want)
+	}
+
+	if err := MustNew(8192).CopyFrom(src); err == nil {
+		t.Error("copying a 4096-byte-page MMU into an 8192-byte-page one succeeded")
 	}
 }
