@@ -474,6 +474,15 @@ func TestParseJSONRejectsNullCPU(t *testing.T) {
 	}
 }
 
+// TestParseJSONRejectsUnknownKeys: a dump whose "cpus" key is misspelled
+// would otherwise parse as a machine of no CPUs, which Check reports clean.
+func TestParseJSONRejectsUnknownKeys(t *testing.T) {
+	in := `{"organization":"VR","references":5,"cpu":[{"cpu":0}]}`
+	if s, err := ParseJSON(strings.NewReader(in)); err == nil {
+		t.Fatalf("unknown key accepted as a snapshot of %d CPUs", len(s.CPUs))
+	}
+}
+
 func TestInvariantNamesRoundTrip(t *testing.T) {
 	for i := Invariant(0); i < NumInvariants; i++ {
 		b, err := i.MarshalText()

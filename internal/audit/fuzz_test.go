@@ -52,6 +52,7 @@ func FuzzSnapshotJSON(f *testing.F) {
 	}
 	f.Add(clean.Bytes())
 	f.Add([]byte(`{"organization":"x","references":0,"cpus":[null]}`))
+	f.Add([]byte(`{"organization":"VR","references":5,"cpu":[{"cpu":0}]}`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := ParseJSON(bytes.NewReader(data))

@@ -168,10 +168,13 @@ func (s *Snapshot) WriteJSON(w io.Writer) error {
 }
 
 // ParseJSON reads a snapshot back (round-trip support for tooling). It
-// rejects what Validate rejects.
+// rejects unknown keys, so a misspelled or foreign dump cannot pass as an
+// empty machine, and what Validate rejects.
 func ParseJSON(r io.Reader) (*Snapshot, error) {
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
 	var s Snapshot
-	if err := json.NewDecoder(r).Decode(&s); err != nil {
+	if err := dec.Decode(&s); err != nil {
 		return nil, err
 	}
 	if err := s.Validate(); err != nil {
