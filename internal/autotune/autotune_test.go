@@ -34,7 +34,6 @@ func testOptions() Options {
 		ProbeRefs: 2_000,
 		Shards:    2,
 		Warmup:    500,
-		Chunk:     3,
 	}
 }
 

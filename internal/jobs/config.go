@@ -133,13 +133,17 @@ type TimedSpec struct {
 // internal/autotune); the zero value searches the paper grammar with the
 // searcher's defaults.
 type AutotuneSpec struct {
-	Grammar    *autotune.Grammar `json:"grammar,omitempty"`
-	ProbeRefs  uint64            `json:"probeRefs,omitempty"`
-	Shards     int               `json:"shards,omitempty"`
-	Warmup     uint64            `json:"warmup,omitempty"`
-	Chunk      int               `json:"chunk,omitempty"`
-	Margin     float64           `json:"margin,omitempty"`
-	Exhaustive bool              `json:"exhaustive,omitempty"`
+	Grammar   *autotune.Grammar `json:"grammar,omitempty"`
+	ProbeRefs uint64            `json:"probeRefs,omitempty"`
+	Shards    int               `json:"shards,omitempty"`
+	Warmup    uint64            `json:"warmup,omitempty"`
+	// Chunk is ignored. It once grouped the candidates that shared a trace
+	// pass, which a search no longer has; it is still decoded, in its old
+	// place in the canonical form, so that documents naming it, parked jobs
+	// among them, stay valid and keep their bytes.
+	Chunk      int     `json:"chunk,omitempty"`
+	Margin     float64 `json:"margin,omitempty"`
+	Exhaustive bool    `json:"exhaustive,omitempty"`
 }
 
 // Service-side resource bounds. A public submission endpoint must not let a
@@ -149,6 +153,7 @@ type AutotuneSpec struct {
 const (
 	maxScale        = 16      // trace length factor
 	maxRefs         = 1 << 30 // scaled trace references
+	maxAutotuneRefs = 1 << 24 // an autotune job's, held in memory (16 bytes each)
 	maxCacheSize    = 1 << 28 // bytes per level
 	maxBlock        = 1 << 12 // bytes
 	maxAssoc        = 1 << 6
@@ -275,6 +280,10 @@ func (c *Config) Validate() error {
 		}
 		if c.Timed {
 			return errf("timed", "autotune jobs are always timed; drop the flag")
+		}
+		if refs := float64(wl.TotalRefs) * c.scale(); refs > maxAutotuneRefs {
+			return errf("scale", "%.0f scaled references exceed the %d an autotune job holds in memory",
+				refs, int64(maxAutotuneRefs))
 		}
 		if c.Autotune != nil {
 			if err := c.Autotune.validate(); err != nil {
@@ -530,9 +539,6 @@ func (a *AutotuneSpec) validate() error {
 	}
 	if a.Shards < 0 || a.Shards > 64 {
 		return errf("autotune.shards", "must be in [0, 64]")
-	}
-	if a.Chunk < 0 || a.Chunk > 64 {
-		return errf("autotune.chunk", "must be in [0, 64]")
 	}
 	if a.Warmup > maxRefs {
 		return errf("autotune.warmup", "%d exceeds the %d limit", a.Warmup, int64(maxRefs))

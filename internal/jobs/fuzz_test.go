@@ -59,6 +59,10 @@ func FuzzJobConfigDecode(f *testing.F) {
 		`{"kind":"run","preset":"pops","machine":{"org":"rrnoincl","split":true}}`,
 		`{"kind":"run","preset":"pops","machine":{"l1Size":16,"split":true}}`,
 		`{"kind":"sweep","preset":"pops","machines":[{"org":"vr"},{"l1Size":16,"split":true}]}`,
+		// An autotune trace past the in-memory bound, and the retired
+		// "chunk" field, still decoded and ignored.
+		`{"kind":"autotune","preset":"pops","scale":16}`,
+		`{"kind":"autotune","preset":"pops","autotune":{"chunk":4}}`,
 	} {
 		f.Add([]byte(seed))
 	}
@@ -157,5 +161,47 @@ func TestDecodeConfigCanonicalStable(t *testing.T) {
 		if _, ok := doc[key]; !ok {
 			t.Errorf("canonical form lost %q", key)
 		}
+	}
+}
+
+// TestAutotuneTraceBound holds autotune jobs, whose search keeps the whole
+// trace in memory, to maxAutotuneRefs scaled references, and only them: a
+// run or sweep job streams its trace and keeps the scale bound alone.
+func TestAutotuneTraceBound(t *testing.T) {
+	for _, tc := range []struct {
+		doc string
+		ok  bool
+	}{
+		{`{"kind":"autotune","preset":"pops","scale":5}`, true},
+		{`{"kind":"autotune","preset":"abaqus","scale":14}`, true},
+		{`{"kind":"autotune","preset":"pops","scale":5.2}`, false},
+		{`{"kind":"autotune","preset":"thor","scale":16}`, false},
+		{`{"kind":"run","preset":"pops","scale":16}`, true},
+		{`{"kind":"sweep","preset":"pops","scale":16,"machines":[{}]}`, true},
+	} {
+		_, err := DecodeConfig([]byte(tc.doc))
+		if tc.ok && err != nil {
+			t.Errorf("%s: %v", tc.doc, err)
+		}
+		if !tc.ok {
+			var je *Error
+			if !asJobsError(err, &je) || je.Field != "scale" {
+				t.Errorf("%s: got %v, want a rejection of \"scale\"", tc.doc, err)
+			}
+		}
+	}
+}
+
+// TestAutotuneChunkIgnored decodes a document naming the retired "chunk"
+// field and keeps it in the canonical bytes, so a job parked with one
+// still restores as it was.
+func TestAutotuneChunkIgnored(t *testing.T) {
+	cfg, err := DecodeConfig([]byte(`{"kind":"autotune","preset":"pops","autotune":{"shards":2,"chunk":4,"margin":0.5}}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = `"autotune":{"shards":2,"chunk":4,"margin":0.5}`
+	if got := cfg.Canonical(); !bytes.Contains(got, []byte(want)) {
+		t.Errorf("canonical form %s lacks %s", got, want)
 	}
 }

@@ -204,7 +204,6 @@ func (m *Manager) runAutotune(ctx context.Context, j *job) ([]byte, error) {
 		ProbeRefs:  spec.ProbeRefs,
 		Shards:     spec.Shards,
 		Warmup:     spec.Warmup,
-		Chunk:      spec.Chunk,
 		Margin:     spec.Margin,
 		Exhaustive: spec.Exhaustive,
 	}

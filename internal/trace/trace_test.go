@@ -73,6 +73,26 @@ func TestSliceReader(t *testing.T) {
 	}
 }
 
+// TestAppendAll fills a dst with room for every record in place, and grows
+// one without.
+func TestAppendAll(t *testing.T) {
+	refs := sampleRefs()
+	for _, room := range []int{len(refs), 1, 0} {
+		dst := make([]Ref, 1, 1+room)
+		dst[0] = Ref{Addr: 7}
+		got, err := AppendAll(dst, NewSliceReader(refs))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := append([]Ref{{Addr: 7}}, refs...); !reflect.DeepEqual(got, want) {
+			t.Fatalf("room %d: AppendAll = %v, want %v", room, got, want)
+		}
+		if inPlace := &got[0] == &dst[0]; inPlace != (room == len(refs)) {
+			t.Errorf("room %d for %d records: filled in place = %v", room, len(refs), inPlace)
+		}
+	}
+}
+
 func TestLimit(t *testing.T) {
 	r := NewLimit(NewSliceReader(sampleRefs()), 2)
 	got, err := ReadAll(r)

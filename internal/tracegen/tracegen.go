@@ -177,6 +177,16 @@ func (c *Config) PIDFor(cpu, slot int) addr.PID {
 // NumProcs returns the total number of processes in the workload.
 func (c *Config) NumProcs() int { return c.CPUs * c.ProcsPerCPU }
 
+// MaxRecords bounds the records a generator for c emits: its TotalRefs
+// memory references and, where processes rotate, at most one context
+// switch per CtxSwitchInterval of them.
+func (c *Config) MaxRecords() int {
+	if c.CtxSwitchInterval > 0 && c.ProcsPerCPU > 1 {
+		return c.TotalRefs + c.TotalRefs/c.CtxSwitchInterval
+	}
+	return c.TotalRefs
+}
+
 // SetupSharedMappings maps the shared segment into every process's address
 // space. Both the generator and any simulator replaying a saved trace must
 // apply it to the same MMU layout.

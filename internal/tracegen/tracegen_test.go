@@ -149,6 +149,26 @@ func TestNoSwitchesWithoutInterval(t *testing.T) {
 	}
 }
 
+// TestMaxRecordsBounds holds MaxRecords to the generators' output: never
+// below the records emitted, and above them by fewer than two per CPU (a
+// CPU may end the trace with a switch pending).
+func TestMaxRecordsBounds(t *testing.T) {
+	noSwitch := tinyConfig()
+	noSwitch.CtxSwitchInterval = 0
+	oneProc := tinyConfig()
+	oneProc.ProcsPerCPU = 1
+	for _, cfg := range []Config{tinyConfig(), noSwitch, oneProc,
+		PopsLike().Scaled(0.002), ThorLike().Scaled(0.002), AbaqusLike().Scaled(0.01)} {
+		refs, err := trace.ReadAll(MustNew(cfg))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if bound := cfg.MaxRecords(); len(refs) > bound || bound-len(refs) >= 2*cfg.CPUs {
+			t.Errorf("%s (interval %d): %d records, MaxRecords %d", cfg.Name, cfg.CtxSwitchInterval, len(refs), bound)
+		}
+	}
+}
+
 func TestSharedMappingsCreateSynonyms(t *testing.T) {
 	cfg := tinyConfig()
 	mmu := vm.MustNew(cfg.PageSize)
