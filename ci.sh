@@ -22,6 +22,11 @@ go build ./...
 echo "== go test -race"
 go test -race ./...
 
+# perfbench is a module of its own, so the ./... patterns above never
+# compile it: an API change that breaks the benchmark fails here instead.
+echo "== perfbench module: vet and test"
+(cd perfbench && go vet ./... && go test ./...)
+
 echo "== benchmark smoke (one iteration each)"
 go test -run '^$' -bench . -benchtime 1x ./...
 

@@ -207,6 +207,13 @@ func TestSRAMBitsModel(t *testing.T) {
 	if SRAMBits(base) != b0 {
 		t.Error("cost model is not deterministic")
 	}
+	// Fields left zero cost what the machine system.New builds from them
+	// spells out, whatever system's defaults are.
+	zero := base
+	zero.CPUs, zero.TLBEntries, zero.TLBAssoc, zero.WriteBufDepth = 0, 0, 0, 0
+	if got, want := SRAMBits(zero), SRAMBits(system.MustNew(zero).Config()); got != want {
+		t.Errorf("a config with zero defaults costs %d bits, the machine built from it %d", got, want)
+	}
 
 	// The RLT trades per-subentry v-pointers for a shared table: a small
 	// table must cost less than pointers on every subentry, but growing the

@@ -51,10 +51,7 @@ func recencyBits(assoc int) uint64 {
 // same Config always agree — because it is the x-axis of the Pareto
 // frontier.
 func SRAMBits(cfg system.Config) uint64 {
-	cpus := cfg.CPUs
-	if cpus == 0 {
-		cpus = 1
-	}
+	cfg = cfg.WithDefaults()
 	var bits uint64
 
 	// First level.
@@ -93,17 +90,8 @@ func SRAMBits(cfg system.Config) uint64 {
 	// Reverse-lookup synonym table: each entry tags a physical block and
 	// holds one v-pointer plus a valid bit.
 	if cfg.Organization == system.VRRLT {
-		entries := uint64(cfg.RLTEntries)
-		if entries == 0 {
-			// Mirror system.New's default: the largest power of two no
-			// bigger than half the first level's line count.
-			entries = 1
-			for entries*2 <= l1Lines/2 {
-				entries *= 2
-			}
-		}
 		rltTag := uint64(addressBits) - uint64(l1.BlockBits())
-		bits += entries * (rltTag + vptr + 1)
+		bits += uint64(cfg.RLTEntries) * (rltTag + vptr + 1)
 	}
 
 	// Victim cache: fully associative, one block of data plus physical tag,
@@ -114,37 +102,17 @@ func SRAMBits(cfg system.Config) uint64 {
 	}
 
 	// TLB.
-	entries := cfg.TLBEntries
-	if entries == 0 {
-		entries = 64
-	}
-	assoc := cfg.TLBAssoc
-	if assoc == 0 {
-		assoc = 2
-	}
-	pageBits := uint64(addr.MustLog2(pageSizeOf(cfg)))
-	vpn := uint64(addressBits) - pageBits
-	tlbSets := uint64(entries / assoc)
+	vpn := uint64(addressBits) - uint64(addr.MustLog2(cfg.PageSize))
+	tlbSets := uint64(cfg.TLBEntries / cfg.TLBAssoc)
 	tlbTag := vpn - uint64(addr.MustLog2(tlbSets))
-	tlbEntry := tlbTag + vpn + 1 + recencyBits(assoc) // tag + frame + valid + recency
-	bits += uint64(entries) * tlbEntry
+	tlbEntry := tlbTag + vpn + 1 + recencyBits(cfg.TLBAssoc) // tag + frame + valid + recency
+	bits += uint64(cfg.TLBEntries) * tlbEntry
 
 	// Write buffer (write-back) or write-through queue: either way, depth
 	// entries of one block plus its physical address.
-	depth := cfg.WriteBufDepth
-	if depth == 0 {
-		depth = 1
-	}
-	bits += uint64(depth) * (addressBits + l1.Block*8)
+	bits += uint64(cfg.WriteBufDepth) * (addressBits + l1.Block*8)
 
-	return bits * uint64(cpus)
-}
-
-func pageSizeOf(cfg system.Config) uint64 {
-	if cfg.PageSize == 0 {
-		return 4096
-	}
-	return cfg.PageSize
+	return bits * uint64(cfg.CPUs)
 }
 
 // cfgLevelBits is one cache level's cost: lines x (tag + control) for the

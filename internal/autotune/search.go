@@ -119,23 +119,41 @@ func engineTotals(e *cycles.Engine) timing {
 	return t
 }
 
-// buildSystem assembles one candidate with a fresh cycle engine and the
-// workload's shared mappings installed.
-func buildSystem(c Candidate, wl tracegen.Config, p cycles.Params) (*system.System, *cycles.Engine, error) {
-	eng, err := cycles.New(p, nil)
+// cell is one machine a search measures: a candidate, and the prefix of
+// the window it runs (a probe window, or the whole trace).
+type cell struct {
+	cand   int
+	prefix *checkpoint.Prefix
+}
+
+// measure runs every cell, one per sweep.Parallel job, and returns their
+// timings in cell order. Each job builds its candidate bare, with a fresh
+// cycle engine and no shared mappings, and runs it through
+// checkpoint.RunWindow, which gives its MMU the prefix's page tables.
+func measure(o Options, cands []Candidate, cells []cell) ([]timing, error) {
+	out := make([]timing, len(cells))
+	err := sweep.Parallel(len(cells), o.Parallel, func(k int) error {
+		c := cands[cells[k].cand]
+		eng, err := cycles.New(o.Params, nil)
+		if err != nil {
+			return err
+		}
+		cfg := c.Config
+		cfg.Cycles = eng
+		sys, err := system.New(cfg)
+		if err != nil {
+			return fmt.Errorf("%s: %w", c.Label, err)
+		}
+		if err := checkpoint.RunWindow(sys, cells[k].prefix); err != nil {
+			return fmt.Errorf("%s: %w", c.Label, err)
+		}
+		out[k] = engineTotals(eng)
+		return nil
+	})
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	cfg := c.Config
-	cfg.Cycles = eng
-	sys, err := system.New(cfg)
-	if err != nil {
-		return nil, nil, fmt.Errorf("%s: %w", c.Label, err)
-	}
-	if err := wl.SetupSharedMappings(sys.MMU()); err != nil {
-		return nil, nil, err
-	}
-	return sys, eng, nil
+	return out, nil
 }
 
 // Search explores the grammar: probe, prune, then measure the survivors
@@ -166,16 +184,42 @@ func Search(o Options) (*Result, error) {
 		return nil, err
 	}
 
+	// One walk over the trace snapshots the page tables for every window a
+	// machine runs: the exact pass's whole trace first, then the probe
+	// windows, Shards of them spread evenly over the trace, each cut short
+	// where it would reach the next one's share. The walk starts where a
+	// full run's MMU starts, fresh with the workload's shared mappings.
+	total, shards := uint64(wl.TotalRefs), uint64(o.Shards)
+	windows := []checkpoint.Window{{End: total}}
+	if !o.Exhaustive {
+		for s := uint64(0); s < shards; s++ {
+			start := s * total / shards
+			end := min(start+max(o.ProbeRefs/shards, 1), (s+1)*total/shards)
+			windows = append(windows, checkpoint.Window{Start: start, End: end, Warmup: o.Warmup})
+		}
+	}
+	mmu, err := vm.New(wl.PageSize)
+	if err != nil {
+		return nil, err
+	}
+	if err := wl.SetupSharedMappings(mmu); err != nil {
+		return nil, err
+	}
+	prefixes, err := checkpoint.NewPrefixes(refs, windows, mmu)
+	if err != nil {
+		return nil, fmt.Errorf("autotune windows: %w", err)
+	}
+
 	res := &Result{Workload: wl.Signature(), Candidates: len(cands)}
 	survivors := make([]int, 0, len(cands))
-	probe := make([]timing, len(cands))
+	var probe []timing
 
 	if o.Exhaustive {
 		for i := range cands {
 			survivors = append(survivors, i)
 		}
 	} else {
-		if err := probePass(o, wl, refs, cands, probe); err != nil {
+		if probe, err = probePass(o, prefixes[1:], cands); err != nil {
 			return nil, err
 		}
 		res.Margin = o.Margin
@@ -190,9 +234,14 @@ func Search(o Options) (*Result, error) {
 	}
 	res.Survivors = len(survivors)
 
-	exact, err := exactPass(o, wl, refs, cands, survivors)
+	// The exact pass: each survivor on the whole trace.
+	cells := make([]cell, len(survivors))
+	for j, i := range survivors {
+		cells[j] = cell{i, prefixes[0]}
+	}
+	exact, err := measure(o, cands, cells)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("exact run: %w", err)
 	}
 
 	res.Explored = make([]Point, len(survivors))
@@ -218,64 +267,26 @@ func Search(o Options) (*Result, error) {
 	return res, nil
 }
 
-// probePass measures every candidate approximately: Shards windows spread
-// over the trace, each preceded by a warm-up, one (candidate, shard) cell
-// per job. One MMU walks the trace once and is copied at each window's
-// warm-up into the checkpoint.Prefix every cell of that shard starts from.
-// Results land in per-candidate accumulators; integer addition makes the
-// totals order-independent.
-func probePass(o Options, wl tracegen.Config, refs []trace.Ref, cands []Candidate, acc []timing) error {
-	total := uint64(wl.TotalRefs)
-	shards := o.Shards
-	winLen := o.ProbeRefs / uint64(shards)
-	if winLen == 0 {
-		winLen = 1
-	}
-	windows := make([]checkpoint.Window, shards)
-	for s := range windows {
-		start := uint64(s) * total / uint64(shards)
-		end := start + winLen
-		if limit := uint64(s+1) * total / uint64(shards); end > limit {
-			end = limit
+// probePass measures every candidate approximately, one cell per candidate
+// and probe window's prefix in shards, and sums each candidate's cells;
+// integer addition makes the totals order-independent.
+func probePass(o Options, shards []*checkpoint.Prefix, cands []Candidate) ([]timing, error) {
+	cells := make([]cell, 0, len(cands)*len(shards))
+	for i := range cands {
+		for _, p := range shards {
+			cells = append(cells, cell{i, p})
 		}
-		windows[s] = checkpoint.Window{Start: start, End: end, Warmup: o.Warmup}
 	}
-	// The walk starts as every candidate's MMU does in buildSystem.
-	mmu, err := vm.New(wl.PageSize)
+	res, err := measure(o, cands, cells)
 	if err != nil {
-		return err
+		return nil, fmt.Errorf("probe: %w", err)
 	}
-	if err := wl.SetupSharedMappings(mmu); err != nil {
-		return err
+	acc := make([]timing, len(cands))
+	for k, c := range cells {
+		acc[c.cand].clock += res[k].clock
+		acc[c.cand].refs += res[k].refs
 	}
-	prefixes, err := checkpoint.NewPrefixes(refs, windows, mmu)
-	if err != nil {
-		return fmt.Errorf("probe windows: %w", err)
-	}
-	// One (candidate, shard) timing per slot, each written by one cell.
-	shardRes := make([]timing, len(cands)*shards)
-	err = sweep.Parallel(len(shardRes), o.Parallel, func(cell int) error {
-		i, s := cell/shards, cell%shards
-		sys, eng, err := buildSystem(cands[i], wl, o.Params)
-		if err != nil {
-			return err
-		}
-		if err := checkpoint.RunWindow(sys, prefixes[s]); err != nil {
-			return fmt.Errorf("probe of %s, shard %d: %w", cands[i].Label, s, err)
-		}
-		shardRes[cell] = engineTotals(eng)
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	for i := range acc {
-		for _, t := range shardRes[i*shards : (i+1)*shards] {
-			acc[i].clock += t.clock
-			acc[i].refs += t.refs
-		}
-	}
-	return nil
+	return acc, nil
 }
 
 // autoMarginFloor is the absolute floor of the automatic margin, in cycles
@@ -337,28 +348,6 @@ func prune(cands []Candidate, probe []timing, margin float64) []int {
 	}
 	sort.Ints(survivors)
 	return survivors
-}
-
-// exactPass measures each surviving candidate on every record of refs, one
-// candidate per job.
-func exactPass(o Options, wl tracegen.Config, refs []trace.Ref, cands []Candidate, survivors []int) ([]timing, error) {
-	out := make([]timing, len(survivors))
-	err := sweep.Parallel(len(survivors), o.Parallel, func(j int) error {
-		sys, eng, err := buildSystem(cands[survivors[j]], wl, o.Params)
-		if err != nil {
-			return err
-		}
-		if err := sys.ApplyBatch(refs); err != nil {
-			return fmt.Errorf("exact run of %s: %w", cands[survivors[j]].Label, err)
-		}
-		sys.Drain()
-		out[j] = engineTotals(eng)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // sortPoints orders points by (Bits, Tacc, Label) — the canonical order of

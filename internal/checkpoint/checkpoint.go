@@ -8,7 +8,8 @@
 // every checkpoint of a sequential run.
 //
 // The package also holds Prefix and RunWindow, the shared skip and the
-// warm-up and measure loop the autotuner's probe windows run on.
+// warm-up and measure loop that every machine an autotune search measures
+// runs on: a probe window, or the whole trace for an exact run.
 package checkpoint
 
 import (

@@ -31,26 +31,21 @@ type Prefix struct {
 	warm, start, end int
 
 	mmu *vm.MMU
-	// frames and stats are the walk's allocation horizon and counters before
-	// the skip: the state a system's MMU must be in for the copy to equal
-	// translating the skip itself.
-	frames uint64
-	stats  vm.Stats
 }
 
 // NewPrefixes locates each window of ws in refs and snapshots the page
 // tables at each window's warm-up: mmu walks forward through refs once,
 // translating every reference before the last window's warm-up, and each
 // window's Prefix takes a copy of mmu as the walk reaches its warm-up. mmu
-// must start in the state every system that runs the windows starts in
-// (for a generated workload: fresh, with the shared mappings installed), so
-// demand paging assigns frames in first-touch order, as in a full run, and
-// physical indexing cannot diverge; the walk leaves it at the last
-// window's warm-up. ws must be ordered by warm-up start, as windows spread
-// evenly over a trace are. refs is not copied and must not change while a
-// Prefix is in use. A window reaching past the trace's end is an error.
+// must start where a full run's MMU starts (for a generated workload: fresh,
+// with the shared mappings installed), so demand paging assigns frames in
+// first-touch order, as in a full run, and physical indexing cannot
+// diverge; the walk leaves it at the last window's warm-up. ws must be
+// ordered by warm-up start, as windows spread evenly over a trace are; the
+// whole trace, {Start: 0, End: references}, is a window too. refs is not
+// copied and must not change while a Prefix is in use. A window reaching
+// past the trace's end is an error.
 func NewPrefixes(refs []trace.Ref, ws []Window, mmu *vm.MMU) ([]*Prefix, error) {
-	frames, stats := mmu.FramesInUse(), mmu.Stats()
 	out := make([]*Prefix, len(ws))
 	// The walk has translated refs[:at], which holds walked memory
 	// references, through mmu.
@@ -64,7 +59,7 @@ func NewPrefixes(refs []trace.Ref, ws []Window, mmu *vm.MMU) ([]*Prefix, error) 
 			return nil, fmt.Errorf("checkpoint: window %d's warm-up starts at reference %d, before the previous window's at %d",
 				k, w.Start-warm, walked)
 		}
-		p := &Prefix{refs: refs, frames: frames, stats: stats}
+		p := &Prefix{refs: refs}
 		var err error
 		if p.warm, err = seekRefs(refs, at, w.Start-warm-walked, "skip"); err != nil {
 			return nil, err
@@ -109,21 +104,15 @@ func seekRefs(refs []trace.Ref, from int, n uint64, phase string) (int, error) {
 }
 
 // RunWindow drives sys through p's window. Its MMU takes a copy of p's
-// page tables; the warm-up is simulated and then discarded by ResetStats;
-// only [Start, End) lands in the statistics, with write buffers drained at
-// the end. Each candidate in each cell of the autotuner's 2D
-// (configurations × time shards) schedule is one RunWindow.
-//
-// sys must have been built as p's MMU was: a system whose MMU does not
-// start at p's frame count and counters is refused before it simulates
-// anything, since the copy would silently replace page tables that differ.
+// page tables, replacing whatever it held, so a system built bare (without
+// a workload's shared mappings) runs as one built with them would; only
+// the page size must match. The warm-up is simulated and then discarded by
+// ResetStats; only [Start, End) lands in the statistics, with write buffers
+// drained at the end. Every machine an autotune search measures is one
+// RunWindow: a probe cell on a probe window, an exact run on the whole
+// trace.
 func RunWindow(sys *system.System, p *Prefix) error {
-	mmu := sys.MMU()
-	if mmu.FramesInUse() != p.frames || mmu.Stats() != p.stats {
-		return fmt.Errorf("checkpoint: MMU starts at %d frames and %+v, the prefix at %d frames and %+v",
-			mmu.FramesInUse(), mmu.Stats(), p.frames, p.stats)
-	}
-	if err := mmu.CopyFrom(p.mmu); err != nil {
+	if err := sys.MMU().CopyFrom(p.mmu); err != nil {
 		return err
 	}
 	if err := sys.ApplyBatch(p.refs[p.warm:p.start]); err != nil {

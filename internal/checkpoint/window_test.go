@@ -38,8 +38,7 @@ func readTrace(t *testing.T, tc tracegen.Config) []trace.Ref {
 }
 
 // newPrefixes builds ws' Prefixes over refs in one walk from a fresh MMU
-// holding tc's shared mappings: the state every machine that build
-// assembles starts in.
+// holding tc's shared mappings: the state a full run's machine starts in.
 func newPrefixes(t *testing.T, refs []trace.Ref, tc tracegen.Config, ws ...Window) []*Prefix {
 	t.Helper()
 	mmu := vm.MustNew(4096)
@@ -56,9 +55,11 @@ func newPrefixes(t *testing.T, refs []trace.Ref, tc tracegen.Config, ws ...Windo
 // TestRunWindowMatchesPerSystem proves that a window run from a shared
 // prefix leaves every system, page tables included, exactly where a solo
 // pass would: one that translates the skipped references through the
-// system's own MMU, then warms and measures from a fresh trace. Both
-// windows' prefixes come from one walk. The copied snapshot changes the
-// schedule, never the state.
+// system's own MMU, then warms and measures from a fresh trace. The whole
+// trace is one of the windows, and its solo pass is a full run, ApplyBatch
+// and Drain. The windowed systems are built bare and the solo ones with
+// the workload's shared mappings. Every prefix comes from one walk. The
+// copied snapshot changes the schedule, never the state.
 func TestRunWindowMatchesPerSystem(t *testing.T) {
 	tc := tracegen.PopsLike().Scaled(0.005)
 	rlt := testMachine(system.VRRLT, tc.CPUs)
@@ -70,7 +71,9 @@ func TestRunWindowMatchesPerSystem(t *testing.T) {
 		rlt,
 	}
 	refs := readTrace(t, tc)
+	whole := Window{End: uint64(tc.TotalRefs)}
 	windows := []Window{
+		whole,
 		{Start: 1_500, End: 4_000, Warmup: 2_000}, // warm-up clamped at the head
 		{Start: 6_000, End: 12_000, Warmup: 2_000},
 	}
@@ -82,28 +85,34 @@ func TestRunWindowMatchesPerSystem(t *testing.T) {
 			wantMMU := make([]vm.State, len(cfgs))
 			for i, cfg := range cfgs {
 				sys := build(t, cfg, tc)
-				r := tracegen.MustNew(tc)
-				// Skip: the prefix only walks the MMU, one record at a time.
-				for n := uint64(0); n < w.Start-warm; {
-					ref, err := r.Next()
-					if err != nil {
-						t.Fatalf("skip: n=%d err=%v", n, err)
+				if w == whole {
+					if err := sys.ApplyBatch(refs); err != nil {
+						t.Fatal(err)
 					}
-					if ref.Kind != trace.CtxSwitch {
-						sys.MMU().Translate(ref.PID, ref.Addr)
-						n++
+				} else {
+					r := tracegen.MustNew(tc)
+					// Skip: the prefix only walks the MMU, one record at a time.
+					for n := uint64(0); n < w.Start-warm; {
+						ref, err := r.Next()
+						if err != nil {
+							t.Fatalf("skip: n=%d err=%v", n, err)
+						}
+						if ref.Kind != trace.CtxSwitch {
+							sys.MMU().Translate(ref.PID, ref.Addr)
+							n++
+						}
 					}
+					runRefs(t, sys, r, warm)
+					sys.ResetStats()
+					runRefs(t, sys, r, w.End-w.Start)
 				}
-				runRefs(t, sys, r, warm)
-				sys.ResetStats()
-				runRefs(t, sys, r, w.End-w.Start)
 				sys.Drain()
 				want[i] = windowSnapshot(sys)
 				wantMMU[i] = sys.MMU().ExportState()
 			}
 
 			for i, cfg := range cfgs {
-				sys := build(t, cfg, tc)
+				sys := system.MustNew(cfg) // bare: the prefix brings the shared mappings
 				if err := RunWindow(sys, prefixes[k]); err != nil {
 					t.Fatal(err)
 				}
@@ -195,10 +204,11 @@ func TestNewPrefixesOrder(t *testing.T) {
 }
 
 // TestRunWindowSharedPrefix runs two windows from one prefix on parallel
-// goroutines: the prefix's snapshot must come out unchanged and the two
-// systems identical. A system whose MMU cannot take the snapshot — built
-// without the workload's shared mappings, or with another page size — is
-// refused before it simulates anything.
+// goroutines, one system built bare and one with the workload's shared
+// mappings: the prefix's snapshot must come out unchanged and the two
+// systems identical, since the copy replaces every page table either held.
+// A system whose MMU has another page size is refused before it simulates
+// anything.
 func TestRunWindowSharedPrefix(t *testing.T) {
 	tc := tracegen.PopsLike().Scaled(0.003)
 	refs := readTrace(t, tc)
@@ -206,7 +216,7 @@ func TestRunWindowSharedPrefix(t *testing.T) {
 	p := newPrefixes(t, refs, tc, Window{Start: 5_000, End: 8_000, Warmup: 1_000})[0]
 	before := p.mmu.ExportState()
 
-	systems := []*system.System{build(t, cfg, tc), build(t, cfg, tc)}
+	systems := []*system.System{system.MustNew(cfg), build(t, cfg, tc)}
 	errs := make([]error, len(systems))
 	var wg sync.WaitGroup
 	for i, sys := range systems {
@@ -232,28 +242,16 @@ func TestRunWindowSharedPrefix(t *testing.T) {
 		t.Error("systems run from one prefix hold different page tables")
 	}
 
-	bare := system.MustNew(cfg) // no shared mappings
-	if err := RunWindow(bare, p); err == nil {
-		t.Error("a system built without the shared mappings ran from the prefix")
-	}
-	if bare.Refs() != 0 || bare.MMU().FramesInUse() != 0 {
-		t.Error("a refused system was simulated")
-	}
-
-	// With no shared mappings anywhere, the base states agree and only the
-	// page size tells the MMUs apart.
-	plains, err := NewPrefixes(refs, []Window{{Start: 2_000, End: 3_000}}, vm.MustNew(4096))
-	if err != nil {
-		t.Fatal(err)
-	}
-	plain := plains[0]
 	bigPages := cfg
 	bigPages.PageSize = 8192
 	big := system.MustNew(bigPages)
-	if err := big.MMU().CopyFrom(plain.mmu); err == nil {
+	if err := big.MMU().CopyFrom(p.mmu); err == nil {
 		t.Error("CopyFrom took a 4096-byte-page snapshot into an 8192-byte-page MMU")
 	}
-	if err := RunWindow(big, plain); err == nil {
+	if err := RunWindow(big, p); err == nil {
 		t.Error("an 8192-byte-page system ran from a 4096-byte-page prefix")
+	}
+	if big.Refs() != 0 {
+		t.Error("a refused system was simulated")
 	}
 }

@@ -628,14 +628,19 @@ func (m *Manager) recover() error {
 		if err := json.Unmarshal(data, &sf); err != nil {
 			return fmt.Errorf("jobs: corrupt spec %s: %w", name, err)
 		}
-		cfg, err := DecodeConfig(sf.Config)
-		if err != nil {
-			return fmt.Errorf("jobs: spec %s no longer validates: %w", name, err)
-		}
 		j := &job{
-			id: sf.ID, seq: sf.Seq, cfg: cfg, raw: cfg.Canonical(),
+			id: sf.ID, seq: sf.Seq, raw: sf.Config,
 			submitted: sf.Submitted, state: sf.State, errMsg: sf.Error,
-			total: uint64(cfg.workload().TotalRefs),
+		}
+		// A spec that no longer validates (a bound has tightened since it
+		// was admitted, say) keeps its record but never runs again.
+		cfg, invalid := DecodeConfig(sf.Config)
+		if invalid == nil {
+			j.cfg, j.raw = cfg, cfg.Canonical()
+			j.total = uint64(cfg.workload().TotalRefs)
+		} else {
+			j.cfg = &Config{}
+			_ = json.Unmarshal(sf.Config, j.cfg) // best effort: the kind its status shows
 		}
 		if sf.Seq > m.seq {
 			m.seq = sf.Seq
@@ -646,6 +651,14 @@ func (m *Manager) recover() error {
 				// Crash window between report write and spec write: the
 				// report exists, so the job is done.
 				j.state = StateDone
+			} else if invalid != nil {
+				j.state, j.errMsg = StateFailed, fmt.Sprintf("spec no longer validates: %v", invalid)
+				if err := m.persist(j); err != nil {
+					return err
+				}
+				os.Remove(m.checkpointPath(j.id))
+				m.stats.Failed++
+				m.log.Warn("job finished", "job", j.id, "state", j.state, "err", j.errMsg)
 			} else {
 				j.state = StateQueued
 				if sf.State == StateRunning {

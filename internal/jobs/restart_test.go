@@ -334,3 +334,45 @@ func TestRestartPreservesQueuedJobs(t *testing.T) {
 		t.Errorf("recovered registry has %d jobs, want 3", got)
 	}
 }
+
+// TestRestartStaleSpecs: a state directory holding specs that no longer
+// validate (autotune jobs past the in-memory trace bound, written by a
+// daemon that admitted them) still opens. The finished job's report stays
+// served; the queued job fails with the bound's message and never runs,
+// and a later daemon reads that failure back.
+func TestRestartStaleSpecs(t *testing.T) {
+	dir := t.TempDir()
+	const stale = `{"kind":"autotune","preset":"pops","scale":16}`
+	files := map[string]string{
+		"j000001.spec.json":   `{"id":"j000001","seq":1,"state":"done","submitted":"2026-01-02T03:04:05Z","config":` + stale + `}`,
+		"j000001.report.json": `{"workload":"pops","frontier":[]}`,
+		"j000002.spec.json":   `{"id":"j000002","seq":2,"state":"queued","submitted":"2026-01-02T03:04:06Z","config":` + stale + `}`,
+	}
+	for name, data := range files {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(data), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const bound = "exceed the 16777216 an autotune job holds in memory"
+	for life := 0; life < 2; life++ {
+		m, err := jobs.Open(managerOptions(dir))
+		if err != nil {
+			t.Fatalf("lifetime %d: %v", life, err)
+		}
+		if st, _ := m.Get("j000002"); st.State != jobs.StateFailed || st.Kind != jobs.KindAutotune || !strings.Contains(st.Error, bound) {
+			t.Errorf("lifetime %d: queued stale job is %s %s (%q), want a failed autotune job", life, st.Kind, st.State, st.Error)
+		}
+		if st, _ := m.Get("j000001"); st.State != jobs.StateDone {
+			t.Errorf("lifetime %d: finished stale job is %s", life, st.State)
+		}
+		if report, err := m.Report("j000001"); err != nil || string(report) != files["j000001.report.json"] {
+			t.Errorf("lifetime %d: finished stale job's report %q, %v", life, report, err)
+		}
+		if got, want := m.Counters().Failed, uint64(1-life); got != want {
+			t.Errorf("lifetime %d: %d failures counted, want %d", life, got, want)
+		}
+		if err := m.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}

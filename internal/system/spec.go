@@ -136,3 +136,15 @@ func (c *Config) rltEntries() int {
 	}
 	return n
 }
+
+// WithDefaults returns c with every default New applies filled in, and the
+// VRRLT organization's table size resolved: the shape of the machine New
+// builds from c. Models that cost a machine without building it, such as
+// the autotuner's, read the defaults here.
+func (c Config) WithDefaults() Config {
+	c.applyDefaults()
+	if c.Organization == VRRLT {
+		c.RLTEntries = c.rltEntries()
+	}
+	return c
+}
