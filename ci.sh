@@ -83,15 +83,20 @@ echo "== cross-organization differential suite under race"
 go test -race -count 2 -run 'TestDifferential' ./internal/system
 go test -race -count 2 -run 'TestGeometryFuzz|TestVREqualsRR|TestProtocolsEquivalent|TestPIDTagsEquivalent' ./internal/core
 
-# System.Run reads the trace ahead on a helper goroutine. Its contract tests
-# run ten times under the race detector, which reports any reader call made
-# after Run returns; then once more, with the golden corpus, on a single P,
-# where the reader and the machine must take turns without deadlocking or
-# changing a byte of output. The short timeouts turn a deadlock into a
-# failure within minutes.
+# System.Run and sweep.Run read the trace ahead through trace.Fanout on a
+# helper goroutine. The contract tests of all three run ten times under the
+# race detector, which reports any reader call made after Fanout returns;
+# then once more, with the golden corpus, on a single P, where the reader
+# and the machines must take turns without deadlocking or changing a byte
+# of output. The short timeouts turn a deadlock into a failure within
+# minutes.
 echo "== read-ahead contract under race, and on one P"
 go test -race -count 10 -timeout 5m -run 'TestRunReadAheadContract|TestRunAllocationsBounded' ./internal/system
+go test -race -count 10 -timeout 5m -run 'TestFanout' ./internal/trace
+go test -race -count 10 -timeout 5m -run 'TestSweepReaderErrorUndrained|TestSweepReaderPanic' ./internal/sweep
 GOMAXPROCS=1 go test -count 1 -timeout 2m -run 'TestRunReadAheadContract|TestRunAllocationsBounded' ./internal/system
+GOMAXPROCS=1 go test -count 1 -timeout 2m -run 'TestFanout' ./internal/trace
+GOMAXPROCS=1 go test -count 1 -timeout 2m -run 'TestSweepReaderErrorUndrained|TestSweepReaderPanic' ./internal/sweep
 GOMAXPROCS=1 go test -count 1 -timeout 2m -run 'TestGoldenCorpus' ./cmd/vrsim
 
 # Audit under the race detector: run the full invariant auditor against every

@@ -150,8 +150,7 @@ var useSweep = true
 
 // runSweep drives one synthetic workload through every machine
 // configuration in scs. With the sweep engine, the trace is generated once
-// and broadcast to all systems, each simulating in its own goroutine; the
-// fallback regenerates and re-runs the workload per configuration. The
+// and fanned out to all systems by sweep.Run; the fallback regenerates and re-runs the workload per configuration. The
 // returned systems parallel scs.
 func runSweep(tc tracegen.Config, scs []system.Config) ([]*system.System, error) {
 	systems := make([]*system.System, len(scs))

@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"runtime/debug"
 	"sort"
 	"sync"
 	"time"
@@ -494,8 +495,16 @@ func (m *Manager) closeTrace(j *job, state string) {
 	j.trace = nil
 }
 
-// run dispatches to the kind's executor.
-func (m *Manager) run(ctx context.Context, j *job) ([]byte, error) {
+// run dispatches to the kind's executor. A panic in the executor, a
+// simulator bug, fails this job alone: it becomes the error "panic: <value>"
+// and its stack goes to the log.
+func (m *Manager) run(ctx context.Context, j *job) (report []byte, err error) {
+	defer func() {
+		if v := recover(); v != nil {
+			m.log.Error("job panicked", "job", j.id, "panic", fmt.Sprint(v), "stack", string(debug.Stack()))
+			report, err = nil, fmt.Errorf("panic: %v", v)
+		}
+	}()
 	switch j.cfg.Kind {
 	case KindRun, KindSweep:
 		return m.runSim(ctx, j)

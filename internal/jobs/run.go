@@ -35,11 +35,16 @@ type SweepConfigReport struct {
 	Results report.Results `json:"results"`
 }
 
+// newTrace opens a simulation job's trace. Tests swap it for a source that
+// fails.
+var newTrace = func(wl tracegen.Config) (trace.Reader, error) { return tracegen.New(wl) }
+
 // runSim executes a run or sweep job: build every machine, restore from the
 // job's checkpoint if one exists, then stream the regenerated trace through
-// all systems in a chunked system-major loop (the sweep engine's sequential
-// mode, inlined here so the loop can checkpoint and cancel at batch
-// boundaries without draining mid-stream). The report is built exactly as
+// all systems in a chunked system-major loop on the job's goroutine. The
+// loop is a plain one, not trace.Fanout's read-ahead, because it must stop
+// every machine at one exact record count to checkpoint, park or cancel at
+// a batch boundary without draining mid-stream. The report is built exactly as
 // cmd/vrsim's -json path builds it, minus the probe section — the progress
 // probe is ephemeral (not checkpointed), and excluding it is what makes
 // resumed reports byte-identical to uninterrupted ones.
@@ -90,7 +95,7 @@ func (m *Manager) runSim(ctx context.Context, j *job) ([]byte, error) {
 		systems[i] = sys
 	}
 
-	gen, err := tracegen.New(wl)
+	gen, err := newTrace(wl)
 	if err != nil {
 		return nil, err
 	}

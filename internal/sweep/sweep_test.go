@@ -1,7 +1,10 @@
 package sweep
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
+	"io"
 	"reflect"
 	"runtime"
 	"strings"
@@ -10,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/cache"
+	"repro/internal/probe"
 	"repro/internal/system"
 	"repro/internal/trace"
 	"repro/internal/tracegen"
@@ -121,7 +125,7 @@ func TestSweepMatchesSequential(t *testing.T) {
 }
 
 // TestSweepSmallBatches forces batch boundaries to land mid-stream and the
-// broadcaster to cycle its pool.
+// reader to cycle its buffers.
 func TestSweepSmallBatches(t *testing.T) {
 	tc := testWorkload()
 	tc.TotalRefs = 5_001
@@ -159,12 +163,12 @@ func TestSweepEmptyAndSingle(t *testing.T) {
 	}
 }
 
-// callerReader wraps a reader and notes whether any record was read off
-// the goroutine that built it.
+// callerReader wraps a reader and counts the records read on and off the
+// goroutine that built it.
 type callerReader struct {
 	trace.Reader
-	owner string
-	away  bool
+	owner      string
+	home, away int
 }
 
 func newCallerReader(r trace.Reader) *callerReader {
@@ -172,10 +176,27 @@ func newCallerReader(r trace.Reader) *callerReader {
 }
 
 func (r *callerReader) Next() (trace.Ref, error) {
-	if goroutineID() != r.owner {
-		r.away = true
+	if goroutineID() == r.owner {
+		r.home++
+	} else {
+		r.away++
 	}
 	return r.Reader.Next()
+}
+
+// callerSink counts the probe events emitted on and off the goroutine that
+// built it.
+type callerSink struct {
+	owner      string
+	home, away int
+}
+
+func (s *callerSink) Event(probe.Event) {
+	if goroutineID() == s.owner {
+		s.home++
+	} else {
+		s.away++
+	}
 }
 
 // goroutineID returns the running goroutine's number, parsed from the
@@ -186,14 +207,18 @@ func goroutineID() string {
 }
 
 // TestSweepSingleWorkersOneOnCaller holds a one-system sweep to the
-// Workers: 1 contract — the trace is read on the caller's goroutine — while
-// any other worker count hands the system to System.Run, which reads ahead
-// on a helper goroutine. Both see the whole stream.
+// contract of every worker count, Workers: 1 included: the machine, and so
+// every event its probe sinks receive, runs on the caller's goroutine, and
+// the trace is read on a helper goroutine. Both see the whole stream.
 func TestSweepSingleWorkersOneOnCaller(t *testing.T) {
 	tc := testWorkload()
 	tc.TotalRefs = 1_000
 	for _, workers := range []int{1, 0, 2} {
-		systems := buildSystems(t, tc, testConfigs(tc)[:1])
+		sc := testConfigs(tc)[0]
+		sc.Probe = probe.New()
+		sink := &callerSink{owner: goroutineID()}
+		sc.Probe.AddSink(sink)
+		systems := buildSystems(t, tc, []system.Config{sc})
 		r := newCallerReader(tracegen.MustNew(tc))
 		if err := Run(r, systems, Options{Workers: workers}); err != nil {
 			t.Fatalf("workers %d: %v", workers, err)
@@ -201,21 +226,26 @@ func TestSweepSingleWorkersOneOnCaller(t *testing.T) {
 		if systems[0].Refs() != 1_000 {
 			t.Errorf("workers %d: Refs = %d, want 1000", workers, systems[0].Refs())
 		}
-		if want := workers != 1; r.away != want {
-			t.Errorf("workers %d: read off the caller's goroutine = %v, want %v", workers, r.away, want)
+		if sink.home == 0 || sink.away != 0 {
+			t.Errorf("workers %d: %d probe events on the caller's goroutine, %d off it; want all on it",
+				workers, sink.home, sink.away)
+		}
+		if r.away == 0 || r.home != 0 {
+			t.Errorf("workers %d: %d records read on the caller's goroutine, %d off it; want all off it",
+				workers, r.home, r.away)
 		}
 	}
 }
 
-// TestSweepSystemError proves a failing system aborts the one-worker
-// chunked sweep with its index, while the healthy systems finish the stream.
+// TestSweepSystemError proves a failing system fails a one-worker sweep
+// with its index, while the healthy systems in its group finish the stream.
 func TestSweepSystemError(t *testing.T) {
 	checkSystemError(t, 1)
 }
 
 // TestSweepStealingSystemError proves the same on the grouped multi-worker
 // shape, where the failing system shares a group with a healthy one, and
-// that neither the broadcaster nor the workers deadlock. The name dates
+// that neither the reader nor the groups deadlock. The name dates
 // from the removed work-stealing shape, whose error path it used to run.
 func TestSweepStealingSystemError(t *testing.T) {
 	checkSystemError(t, 2)
@@ -264,10 +294,124 @@ func TestSweepReaderError(t *testing.T) {
 	}
 }
 
-// TestSweepModesIdentical proves both execution shapes — sequential chunked
-// and grouped static partition, across batch sizes and queue depths —
-// produce per-system results byte-identical to the sequential
-// single-system runs.
+var (
+	errCut      = errors.New("trace cut short")
+	readerPanic = errors.New("injected reader panic")
+)
+
+// cutReader serves a slice of records, then fails with errCut, or panics
+// with readerPanic, where a clean trace would end.
+type cutReader struct {
+	*trace.SliceReader
+	panics bool
+}
+
+func (r cutReader) cut(err error) error {
+	if errors.Is(err, io.EOF) {
+		if r.panics {
+			panic(readerPanic)
+		}
+		return errCut
+	}
+	return err
+}
+
+func (r cutReader) Next() (trace.Ref, error) {
+	ref, err := r.SliceReader.Next()
+	return ref, r.cut(err)
+}
+
+func (r cutReader) ReadBatch(dst []trace.Ref) (int, error) {
+	n, err := r.SliceReader.ReadBatch(dst)
+	return n, r.cut(err)
+}
+
+// machineState is everything snap reports plus the structural snapshot,
+// whose write buffers show whether a machine was drained.
+func machineState(t *testing.T, s *system.System) string {
+	t.Helper()
+	var js bytes.Buffer
+	if err := s.AuditSnapshot().WriteJSON(&js); err != nil {
+		t.Fatal(err)
+	}
+	return fmt.Sprintf("%+v\n%s", snap(s), js.Bytes())
+}
+
+// TestSweepReaderErrorUndrained cuts the trace with a reader error after n
+// records: under every worker count, each machine is byte-identical to the
+// same n records applied in place with no Drain.
+func TestSweepReaderErrorUndrained(t *testing.T) {
+	tc := testWorkload()
+	scs := testConfigs(tc)
+	refs, err := trace.ReadAll(tracegen.MustNew(tc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []int{1001, 2222, 5003, 7777, 10000, 12345} {
+		want := make([]string, len(scs))
+		for i, sys := range buildSystems(t, tc, scs) {
+			if err := sys.ApplyBatch(refs[:n]); err != nil {
+				t.Fatal(err)
+			}
+			want[i] = machineState(t, sys)
+		}
+		for _, workers := range []int{1, 2, 4} {
+			systems := buildSystems(t, tc, scs)
+			err := Run(cutReader{SliceReader: trace.NewSliceReader(refs[:n])}, systems, Options{Workers: workers})
+			if !errors.Is(err, errCut) {
+				t.Fatalf("n %d, workers %d: Run returned %v, want the reader's error", n, workers, err)
+			}
+			for i, sys := range systems {
+				if got := machineState(t, sys); got != want[i] {
+					t.Errorf("n %d, workers %d: system %d differs from %d records applied in place",
+						n, workers, i, n)
+				}
+			}
+		}
+	}
+}
+
+// TestSweepReaderPanic panics in the reader: under every worker count the
+// caller recovers the reader's own value, and no goroutine is left behind.
+func TestSweepReaderPanic(t *testing.T) {
+	tc := testWorkload()
+	tc.TotalRefs = 10_000
+	refs, err := trace.ReadAll(tracegen.MustNew(tc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 2, 4} {
+		systems := buildSystems(t, tc, testConfigs(tc))
+		before := runtime.NumGoroutine()
+		v := func() (v any) {
+			defer func() { v = recover() }()
+			Run(cutReader{SliceReader: trace.NewSliceReader(refs[:5003]), panics: true}, systems, Options{Workers: workers})
+			return nil
+		}()
+		if v != readerPanic {
+			t.Errorf("workers %d: recovered %v, want the reader's panic value", workers, v)
+		}
+		settled(t, before)
+	}
+}
+
+// settled waits for the goroutine count to fall back to before, allowing
+// exited goroutines a moment to be reaped.
+func settled(t *testing.T, before int) {
+	t.Helper()
+	for i := 0; i < 100; i++ {
+		if runtime.NumGoroutine() <= before {
+			return
+		}
+		time.Sleep(time.Millisecond)
+	}
+	t.Errorf("goroutines left behind: %d before, %d after", before, runtime.NumGoroutine())
+}
+
+// TestSweepModesIdentical proves that every worker count — one group on the
+// caller's goroutine, or several across goroutines — across batch sizes
+// and queue depths produces per-system results byte-identical to the
+// sequential single-system runs.
 func TestSweepModesIdentical(t *testing.T) {
 	tc := testWorkload()
 	scs := testConfigs(tc)
@@ -328,6 +472,39 @@ func TestParallelFirstErrorWins(t *testing.T) {
 			t.Errorf("job %d never ran after a failure elsewhere", i)
 		}
 	}
+}
+
+// TestParallelPanic panics in two jobs: every job still runs, the caller
+// recovers the lowest-indexed job's own value, and no worker is left
+// behind.
+func TestParallelPanic(t *testing.T) {
+	const n = 64
+	boom := []*int{new(int), new(int)}
+	var ran [n]atomic.Bool
+	before := runtime.NumGoroutine()
+	v := func() (v any) {
+		defer func() { v = recover() }()
+		Parallel(n, 8, func(i int) error {
+			ran[i].Store(true)
+			switch i {
+			case 9:
+				panic(boom[0])
+			case 40:
+				panic(boom[1])
+			}
+			return nil
+		})
+		return nil
+	}()
+	if v != boom[0] {
+		t.Errorf("recovered %v, want job 9's panic value %p", v, boom[0])
+	}
+	for i := range ran {
+		if !ran[i].Load() {
+			t.Errorf("job %d never ran after a panic elsewhere", i)
+		}
+	}
+	settled(t, before)
 }
 
 // TestParallelDrains proves all workers exit after Parallel returns (no

@@ -6,9 +6,7 @@
 package system
 
 import (
-	"errors"
 	"fmt"
-	"io"
 
 	"repro/internal/addr"
 	"repro/internal/audit"
@@ -161,6 +159,8 @@ type System struct {
 	aud    *audit.Auditor // nil when auditing is disabled
 	oracle map[addr.PAddr]uint64
 	refs   uint64
+	// runBufs are Run's read-ahead buffers, kept from one Run to the next.
+	runBufs [][]trace.Ref
 }
 
 // New builds a machine from cfg, or returns the reason Validate gives for
@@ -352,23 +352,14 @@ const runBatchSize = 4096
 // would let the reader fill one while the machine applies the other; two
 // more absorb the jitter between a batch that is slow to generate and one
 // that is slow to simulate, so neither side waits on the other's every
-// hiccup. At 16-byte records that is 256 KB per run.
+// hiccup. At 16-byte records that is 256 KB per machine.
 const runAhead = 4
-
-// readBatch is one batch handed from Run's reader to the machine: the
-// records read, the reader's error after them (io.EOF at the end of the
-// trace), or the value the reader panicked with.
-type readBatch struct {
-	refs     []trace.Ref
-	err      error
-	panicked any
-}
 
 // Run drives every record from r through the machine and drains the write
 // buffers at the end. Reads go through the batched path (trace.FillBatch),
 // so readers implementing trace.BatchReader are consumed a slice at a time.
 //
-// Run reads ahead: one helper goroutine fills a fixed pool of runAhead
+// Run reads ahead through trace.Fanout: one helper goroutine fills runAhead
 // batches from r while the caller's goroutine applies them in stream
 // order, so producing the trace overlaps simulating it. Only the reader
 // moves; the machine, and every probe sink, auditor, cycle engine and
@@ -378,58 +369,28 @@ type readBatch struct {
 // reader may have read up to runAhead-1 batches past the failing one. A
 // panic inside r is re-raised on the caller's goroutine with the same
 // value. Run returns only after the helper has exited, so r is never read
-// after Run returns.
+// after Run returns. The buffers are allocated on the first Run and kept
+// for later ones.
 func (s *System) Run(r trace.Reader) error {
-	free := make(chan []trace.Ref, runAhead)
-	full := make(chan readBatch, runAhead)
-	for i := 0; i < runAhead; i++ {
-		free <- make([]trace.Ref, runBatchSize)
+	if s.runBufs == nil {
+		s.runBufs = make([][]trace.Ref, runAhead)
+		for i := range s.runBufs {
+			s.runBufs[i] = make([]trace.Ref, runBatchSize)
+		}
 	}
-	stop, done := make(chan struct{}), make(chan struct{})
-	// Sends on full never block: at most runAhead batches, or runAhead-1
-	// and a panic, are ever in flight.
-	go func() {
-		defer close(done)
-		defer func() {
-			if v := recover(); v != nil {
-				full <- readBatch{panicked: v}
-			}
-		}()
-		for {
-			var buf []trace.Ref
-			select {
-			case buf = <-free:
-			case <-stop:
-				return
-			}
-			n, err := trace.FillBatch(r, buf)
-			full <- readBatch{refs: buf[:n], err: err}
-			if err != nil {
-				return
-			}
-		}
-	}()
-	defer func() {
-		close(stop)
-		<-done
-	}()
-	for {
-		b := <-full
-		if b.panicked != nil {
-			panic(b.panicked)
-		}
-		if err := s.ApplyBatch(b.refs); err != nil {
-			return err
-		}
-		if errors.Is(b.err, io.EOF) {
-			s.Drain()
-			return nil
-		}
-		if b.err != nil {
-			return b.err
-		}
-		free <- b.refs[:runBatchSize]
+	var applyErr error
+	readErr := trace.Fanout(r, s.runBufs, func(refs []trace.Ref) bool {
+		applyErr = s.ApplyBatch(refs)
+		return applyErr == nil
+	})
+	if applyErr != nil {
+		return applyErr
 	}
+	if readErr != nil {
+		return readErr
+	}
+	s.Drain()
+	return nil
 }
 
 // Drain empties every write buffer into the second level.

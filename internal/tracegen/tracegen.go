@@ -382,7 +382,7 @@ func (g *Generator) Next() (trace.Ref, error) {
 
 // ReadBatch implements trace.BatchReader: it fills dst with successive
 // records, amortizing the per-record interface dispatch when the generator
-// feeds the sweep engine's broadcast loop.
+// feeds trace.Fanout's read-ahead.
 func (g *Generator) ReadBatch(dst []trace.Ref) (int, error) {
 	n := 0
 	for n < len(dst) {

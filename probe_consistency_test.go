@@ -285,7 +285,7 @@ func TestProbeEventsMatchStatsVariants(t *testing.T) {
 }
 
 // TestProbeEventsMatchStatsBatched runs the same consistency check through
-// the sweep engine's batched broadcast path: two identically configured
+// the sweep engine's batched fan-out path: two identically configured
 // probed machines share one generated trace, each must (a) keep its event
 // stream consistent with its counters and (b) tally exactly the same events
 // as a sequential reference run of the same configuration.
