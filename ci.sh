@@ -88,13 +88,15 @@ go test -race -count 2 -run 'TestGeometryFuzz|TestVREqualsRR|TestProtocolsEquiva
 # race detector, which reports any reader call made after Fanout returns;
 # then once more, with the golden corpus, on a single P, where the reader
 # and the machines must take turns without deadlocking or changing a byte
-# of output. The short timeouts turn a deadlock into a failure within
-# minutes.
+# of output. System.Run's two tests run twenty times on one P, where a GC
+# cycle landing inside TestRunAllocationsBounded's measurement once made
+# it fail now and then. The short timeouts turn a deadlock into a failure
+# within minutes.
 echo "== read-ahead contract under race, and on one P"
 go test -race -count 10 -timeout 5m -run 'TestRunReadAheadContract|TestRunAllocationsBounded' ./internal/system
 go test -race -count 10 -timeout 5m -run 'TestFanout' ./internal/trace
 go test -race -count 10 -timeout 5m -run 'TestSweepReaderErrorUndrained|TestSweepReaderPanic' ./internal/sweep
-GOMAXPROCS=1 go test -count 1 -timeout 2m -run 'TestRunReadAheadContract|TestRunAllocationsBounded' ./internal/system
+GOMAXPROCS=1 go test -count 20 -timeout 2m -run 'TestRunReadAheadContract|TestRunAllocationsBounded' ./internal/system
 GOMAXPROCS=1 go test -count 1 -timeout 2m -run 'TestFanout' ./internal/trace
 GOMAXPROCS=1 go test -count 1 -timeout 2m -run 'TestSweepReaderErrorUndrained|TestSweepReaderPanic' ./internal/sweep
 GOMAXPROCS=1 go test -count 1 -timeout 2m -run 'TestGoldenCorpus' ./cmd/vrsim

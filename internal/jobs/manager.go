@@ -16,6 +16,7 @@ import (
 
 	"repro/internal/monitor"
 	"repro/internal/probe"
+	"repro/internal/sweep"
 	"repro/internal/tsdb"
 )
 
@@ -497,11 +498,16 @@ func (m *Manager) closeTrace(j *job, state string) {
 
 // run dispatches to the kind's executor. A panic in the executor, a
 // simulator bug, fails this job alone: it becomes the error "panic: <value>"
-// and its stack goes to the log.
+// and its stack goes to the log. A panic sweep.Parallel re-raised (an
+// autotune cell's) logs the stack of the cell that panicked.
 func (m *Manager) run(ctx context.Context, j *job) (report []byte, err error) {
 	defer func() {
 		if v := recover(); v != nil {
-			m.log.Error("job panicked", "job", j.id, "panic", fmt.Sprint(v), "stack", string(debug.Stack()))
+			stack := debug.Stack()
+			if p, ok := v.(*sweep.PanicError); ok {
+				v, stack = p.Value, p.Stack
+			}
+			m.log.Error("job panicked", "job", j.id, "panic", fmt.Sprint(v), "stack", string(stack))
 			report, err = nil, fmt.Errorf("panic: %v", v)
 		}
 	}()

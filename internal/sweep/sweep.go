@@ -29,6 +29,7 @@ package sweep
 import (
 	"fmt"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 
@@ -95,9 +96,10 @@ func (o *Options) resolve(n int) (workers int) {
 // result is deterministic regardless of scheduling. A job's panic is
 // recovered on its worker and the other jobs still run; once every worker
 // has stopped, the panic of the lowest-indexed panicking job is re-raised
-// on the caller's goroutine with the same value. The sweep engine's
-// fan-out covers many systems on one trace; Parallel is the complementary
-// primitive — independent jobs — used by the autotuner's cell scheduler.
+// on the caller's goroutine as a *PanicError carrying the job's value and
+// the stack it panicked on. The sweep engine's fan-out covers many systems
+// on one trace; Parallel is the complementary primitive — independent
+// jobs — used by the autotuner's cell scheduler.
 func Parallel(n, workers int, job func(i int) error) error {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -106,7 +108,7 @@ func Parallel(n, workers int, job func(i int) error) error {
 		workers = n
 	}
 	errs := make([]error, n)
-	panics := make([]any, n)
+	panics := make([]*PanicError, n)
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -136,10 +138,26 @@ func Parallel(n, workers int, job func(i int) error) error {
 	return nil
 }
 
-// runJob runs job i, returning its panic value instead of unwinding the
-// worker.
-func runJob(job func(i int) error, i int) (panicked any, err error) {
-	defer func() { panicked = recover() }()
+// PanicError is the value Parallel re-raises when a job panics: the job's
+// own panic value and the stack of the worker goroutine where it panicked,
+// which the re-raise on the caller's goroutine would otherwise lose.
+type PanicError struct {
+	Value any
+	Stack []byte
+}
+
+// Error renders the job's panic value and its stack, so a re-raise that
+// nobody recovers still prints where the job panicked.
+func (p *PanicError) Error() string { return fmt.Sprintf("%v\n\n%s", p.Value, p.Stack) }
+
+// runJob runs job i, returning its panic, with the stack it happened on,
+// instead of unwinding the worker.
+func runJob(job func(i int) error, i int) (panicked *PanicError, err error) {
+	defer func() {
+		if v := recover(); v != nil {
+			panicked = &PanicError{Value: v, Stack: debug.Stack()}
+		}
+	}()
 	return nil, job(i)
 }
 

@@ -475,8 +475,8 @@ func TestParallelFirstErrorWins(t *testing.T) {
 }
 
 // TestParallelPanic panics in two jobs: every job still runs, the caller
-// recovers the lowest-indexed job's own value, and no worker is left
-// behind.
+// recovers the lowest-indexed job's own value with the stack of the job
+// function that panicked, and no worker is left behind.
 func TestParallelPanic(t *testing.T) {
 	const n = 64
 	boom := []*int{new(int), new(int)}
@@ -496,8 +496,14 @@ func TestParallelPanic(t *testing.T) {
 		})
 		return nil
 	}()
-	if v != boom[0] {
-		t.Errorf("recovered %v, want job 9's panic value %p", v, boom[0])
+	p, ok := v.(*PanicError)
+	if !ok || p.Value != boom[0] {
+		t.Fatalf("recovered %v, want a *PanicError carrying job 9's panic value %p", v, boom[0])
+	}
+	// The job is a closure in this test; the worker goroutine's own frames
+	// (runJob, Parallel.func1) never name the test.
+	if !strings.Contains(string(p.Stack), "sweep.TestParallelPanic.func") {
+		t.Errorf("carried stack does not name the panicking job function:\n%s", p.Stack)
 	}
 	for i := range ran {
 		if !ran[i].Load() {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/addr"
@@ -289,6 +290,9 @@ func TestRunAllocationsBounded(t *testing.T) {
 		t.Fatal(err)
 	}
 	allocs := func(n int) float64 {
+		// Collect first, so the garbage the set-up left does not start a
+		// GC cycle inside AllocsPerRun, where runtime goroutines allocate.
+		runtime.GC()
 		return testing.AllocsPerRun(5, func() {
 			if err := sys.Run(trace.NewSliceReader(refs[:n])); err != nil {
 				t.Fatal(err)
