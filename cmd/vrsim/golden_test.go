@@ -182,7 +182,8 @@ func addAutotuneCells(t *testing.T, cells corpus) {
 // the probe sinks that ride System.Run armed, and adds a cell per output:
 // the -metrics-every 2000 window lines printed on stdout, the unfiltered
 // -events log, the -chrome-trace file, and on timed runs the -trace-spans
-// file and the -attr text report (written through -attr-out).
+// and -trace-spans-chrome files and the -attr text report (written through
+// -attr-out).
 func addObservabilityCells(t *testing.T, cells corpus, preset, org string, timed bool) {
 	t.Helper()
 	dir := t.TempDir()
@@ -192,8 +193,9 @@ func addObservabilityCells(t *testing.T, cells corpus, preset, org string, timed
 	files := map[string]string{"chrome": o.chromeTrace}
 	if timed {
 		o.traceSpans = filepath.Join(dir, "spans.json")
+		o.spanChrome = filepath.Join(dir, "spanschrome.json")
 		o.attr, o.attrOut = true, filepath.Join(dir, "attr.txt")
-		files["spans"], files["attr"] = o.traceSpans, o.attrOut
+		files["spans"], files["spanschrome"], files["attr"] = o.traceSpans, o.spanChrome, o.attrOut
 	}
 	name := fmt.Sprintf("obs/%s/%s/timed=%v", preset, org, timed)
 	var out, events bytes.Buffer
