@@ -181,9 +181,10 @@ go test -race -count 3 -run 'TestRestartSeriesEquivalence|TestTimeseriesRestartC
 # sweep (VR vs RR at the paper's main sizes), verify the report names every
 # machine, then walk the observatory surfaces — persisted time-series over
 # HTTP (deterministic across reads), the CSV dump, one `top` frame, the
-# job-correlated structured JSON log and the OTLP trace file — before
-# SIGTERMing the daemon and requiring a clean shutdown (vrsimd checks for
-# leaked worker goroutines itself before printing the marker).
+# job-correlated structured JSON log, the OTLP trace file and the absence
+# of leftover checkpoints — before SIGTERMing the daemon and requiring a
+# clean shutdown (vrsimd checks for leaked worker goroutines itself before
+# printing the marker).
 echo "== vrsimd job-server smoke"
 go build -o "$tmp/vrsimd" ./cmd/vrsimd
 "$tmp/vrsimd" serve -http 127.0.0.1:0 -state "$tmp/vrsimd-state" \
@@ -233,6 +234,10 @@ grep -q "$job_id" "$tmp/top.out"
 grep -q "\"job\":\"$job_id\"" "$tmp/vrsimd.log"
 [ -s "$tmp/vrsimd-state/$job_id.trace.json" ]
 grep -q '"resourceSpans"' "$tmp/vrsimd-state/$job_id.trace.json"
+# The trace ends with the OTLP footer (the stream writer's Close ran), and
+# the finished job left no checkpoint behind.
+[ "$(tail -c 7 "$tmp/vrsimd-state/$job_id.trace.json")" = ']}]}]}' ]
+[ -z "$(find "$tmp/vrsimd-state" -name '*.ck')" ]
 # Queue/run latency histograms registered on the Prometheus surface.
 curl -sf "$vrsimd_url/metrics" | grep -q '^vrsimd_job_run_seconds_count'
 kill -TERM "$vrsimd_pid"

@@ -69,6 +69,24 @@ type Candidate struct {
 	Bits   uint64 // total SRAM bits (see SRAMBits)
 }
 
+// Label is a machine's deterministic label, built from the organization
+// and policy names it was written with and from its configuration. Every
+// candidate carries one, and so does every job machine given no label.
+func Label(org, policy string, cfg system.Config) string {
+	label := fmt.Sprintf("%s/%s/L1=%s/L2=%s/wb=%d/tlb=%dx%d",
+		org, policy, cfg.L1, cfg.L2, cfg.WriteBufDepth, cfg.TLBEntries, cfg.TLBAssoc)
+	if cfg.VictimEntries != 0 {
+		label += fmt.Sprintf("/vc=%d", cfg.VictimEntries)
+	}
+	if cfg.RLTEntries != 0 {
+		label += fmt.Sprintf("/rlt=%d", cfg.RLTEntries)
+	}
+	if cfg.Split {
+		label += "/split"
+	}
+	return label
+}
+
 func orDefaultU64(vs []uint64, d uint64) []uint64 {
 	if len(vs) == 0 {
 		return []uint64{d}
@@ -165,15 +183,7 @@ func (g Grammar) Expand(cpus int, pageSize uint64) ([]Candidate, error) {
 													if cfg.Validate() != nil {
 														continue
 													}
-													label := fmt.Sprintf("%s/%s/L1=%s/L2=%s/wb=%d/tlb=%dx%d",
-														orgTok, pol, cfg.L1, cfg.L2, wb, te, ta)
-													if vc != 0 {
-														label += fmt.Sprintf("/vc=%d", vc)
-													}
-													if re != 0 {
-														label += fmt.Sprintf("/rlt=%d", re)
-													}
-													out = append(out, Candidate{Label: label, Config: cfg})
+													out = append(out, Candidate{Label: Label(orgTok, pol, cfg), Config: cfg})
 												}
 											}
 										}

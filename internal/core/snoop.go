@@ -173,7 +173,7 @@ func (h *VR) snoopInvalidate(a addr.PAddr) {
 			// invalidate(v-pointer): only blocks actually present at the
 			// first level disturb it — the shielding effect.
 			h.vcs[se.VPtr.Cache].Invalidate(se.VPtr.Set, se.VPtr.Way)
-			h.syn.Invalidated(h.rc.SubAddr(set, way, i))
+			h.rltRemove(h.rc.SubAddr(set, way, i))
 			h.st.Coherence.Record(stats.MsgInvalidate)
 			h.emit(probe.EvCohInvalidate, 0, 0, a, 0)
 		}

@@ -9,65 +9,19 @@ import (
 	"repro/internal/rlt"
 )
 
-// SynonymStrategy is the seam between the fill path and the mechanism that
-// locates a first-level copy of a physical block under another virtual
-// address. The paper's proposal stores a v-pointer in every R-cache
-// subentry (vptrStrategy); the reverse-lookup-table alternative (Desai &
-// Deshmukh, arXiv 2108.00444) keeps the pointers in a separate bounded
-// table instead (rltStrategy). Strategies may only differ in *performance*
-// — extra evictions, state and bus traffic — never in which data a
-// reference observes; the cross-organization differential harness enforces
-// that.
-//
-// The controller keeps the subentry v-pointers as ground truth under every
-// strategy (snoops, L2 replacement and the write-through path all follow
-// them); a strategy's Locate answers from its own state, and the RLT
-// strategy's audit invariant asserts the two agree. What a bounded table
-// changes is capacity: Installed may have to evict a reverse translation,
-// and with it the first-level line it named.
-type SynonymStrategy interface {
-	// Name labels the strategy in reports.
-	Name() string
-	// Locate reports where a first-level copy of the block at pa (L1-block
-	// aligned) lives. se is the block's R-cache subentry.
-	Locate(se *rcache.SubEntry, pa addr.PAddr) (rcache.VPtr, bool)
-	// Installed records that a first-level copy of pa now lives at vp
-	// (called after the subentry's inclusion bit and v-pointer are set).
-	Installed(pa addr.PAddr, vp rcache.VPtr)
-	// Invalidated records that the first-level copy of pa is gone.
-	Invalidated(pa addr.PAddr)
-}
-
-// vptrStrategy is the paper's synonym mechanism: the v-pointer lives in
-// the R-cache subentry, so Locate just reads it and the notifications are
-// free. This is the default, and byte-identical to the pre-seam behaviour.
-type vptrStrategy struct{}
-
-func (vptrStrategy) Name() string { return "vptr" }
-
-func (vptrStrategy) Locate(se *rcache.SubEntry, _ addr.PAddr) (rcache.VPtr, bool) {
-	return se.VPtr, se.Inclusion
-}
-
-func (vptrStrategy) Installed(addr.PAddr, rcache.VPtr) {}
-
-func (vptrStrategy) Invalidated(addr.PAddr) {}
-
-// rltStrategy answers reverse lookups from a bounded set-associative table
-// that mirrors the first level: one entry per present line, inserted on
-// fill and removed on invalidation. Because the table is smaller than the
-// first level can be, an insert may evict a reverse translation — and the
-// first-level line it named must then be evicted too (written back to the
-// R-cache first if dirty), since nothing can find it any more. Those
-// forced evictions are the strategy's measurable cost.
-type rltStrategy struct {
-	h *VR
-}
-
-func (s *rltStrategy) Name() string { return "rlt" }
-
-func (s *rltStrategy) Locate(se *rcache.SubEntry, pa addr.PAddr) (rcache.VPtr, bool) {
-	vp, ok := s.h.rlt.Lookup(pa)
+// locate reports where a first-level copy of the block at pa (L1-block
+// aligned) lives; se is the block's R-cache subentry. The paper's synonym
+// mechanism reads the v-pointer the subentry stores. With a reverse-lookup
+// table (Desai & Deshmukh, arXiv 2108.00444) the answer comes from the
+// table instead. The subentry v-pointers stay the ground truth either way
+// (snoops, L2 replacement and the write-through path all follow them), so
+// the table must agree with them: the two mechanisms may differ only in
+// performance, never in which data a reference observes.
+func (h *VR) locate(se *rcache.SubEntry, pa addr.PAddr) (rcache.VPtr, bool) {
+	if h.rlt == nil {
+		return se.VPtr, se.Inclusion
+	}
+	vp, ok := h.rlt.Lookup(pa)
 	// The table mirrors the first level exactly, so it must agree with the
 	// subentry ground truth; a disagreement is a simulator bug, not a
 	// modelled hardware state.
@@ -78,14 +32,26 @@ func (s *rltStrategy) Locate(se *rcache.SubEntry, pa addr.PAddr) (rcache.VPtr, b
 	return vp, ok
 }
 
-func (s *rltStrategy) Installed(pa addr.PAddr, vp rcache.VPtr) {
-	if ev, evicted := s.h.rlt.Insert(pa, vp); evicted {
-		s.h.rltEvict(ev)
+// rltInsert records in the reverse-lookup table, when there is one, that a
+// first-level copy of pa now lives at vp (called after the subentry's
+// inclusion bit and v-pointer are set). The table is smaller than the
+// first level can be, so an insert may evict a reverse translation, and
+// with it the first-level line it named: the table's measurable cost.
+func (h *VR) rltInsert(pa addr.PAddr, vp rcache.VPtr) {
+	if h.rlt == nil {
+		return
+	}
+	if ev, evicted := h.rlt.Insert(pa, vp); evicted {
+		h.rltEvict(ev)
 	}
 }
 
-func (s *rltStrategy) Invalidated(pa addr.PAddr) {
-	s.h.rlt.Remove(pa)
+// rltRemove drops pa's reverse translation, when there is a table: the
+// first-level copy of pa is gone.
+func (h *VR) rltRemove(pa addr.PAddr) {
+	if h.rlt != nil {
+		h.rlt.Remove(pa)
+	}
 }
 
 // rltEvict disposes of the first-level line whose reverse translation was

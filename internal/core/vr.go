@@ -35,9 +35,8 @@ type VR struct {
 	wb  *writebuf.Buffer
 	wt  wtQueue // write-through buffer occupancy (L1WriteThrough only)
 
-	syn SynonymStrategy // how first-level copies are found on a miss
-	rlt *rlt.Table      // non-nil iff syn is the reverse-lookup strategy
-	vic *victim.Cache   // nil: no victim cache between the levels
+	rlt *rlt.Table    // nil: no reverse-lookup table; the v-pointers locate synonyms
+	vic *victim.Cache // nil: no victim cache between the levels
 
 	pid addr.PID
 	st  *Stats
@@ -104,14 +103,12 @@ func newVR(o Options, virtual bool) (*VR, error) {
 	}
 	h.rc.SetNaiveReplacement(o.NaiveL2Replacement)
 	h.wt = wtQueue{depth: o.WriteBufDepth, latency: o.WriteBufLatency}
-	h.syn = vptrStrategy{}
 	if o.RLTEntries > 0 {
 		tbl, err := rlt.New(o.RLTEntries, o.RLTAssoc, o.L1.Block)
 		if err != nil {
 			return nil, fmt.Errorf("core: %w", err)
 		}
 		h.rlt = tbl
-		h.syn = &rltStrategy{h: h}
 	}
 	h.vic = victim.New(o.VictimEntries)
 	t, err := tlb.New(o.MMU, o.TLBEntries, o.TLBAssoc)
@@ -318,7 +315,7 @@ func (h *VR) fill(ci int, ref trace.Ref, kind statsKind, la addr.VAddr, paKnown 
 		// The slot is logically empty from here on; the sameset synonym
 		// path below fills a different way and leaves this one free.
 		vc.Invalidate(vic.Set, vic.Way)
-		h.syn.Invalidated(vicPA)
+		h.rltRemove(vicPA)
 		h.victimInsert(vicPA, vic.Token)
 	}
 
@@ -359,12 +356,12 @@ func (h *VR) fill(ci int, ref trace.Ref, kind statsKind, la addr.VAddr, paKnown 
 	se := h.rc.Sub(rset, rway, sub)
 	rp := rptrOf(rset, rway, sub)
 
-	// 4. Synonym resolution / data supply. The strategy seam answers "where
-	// does a first-level copy live?"; the v-pointer strategy reads the
-	// subentry, the reverse-lookup strategy consults its table.
+	// 4. Synonym resolution / data supply. locate answers "where does a
+	// first-level copy live?" from the subentry's v-pointer or, when the
+	// hierarchy has one, the reverse-lookup table.
 	fset, fway := vic.Set, vic.Way
 	syn := SynNone
-	loc, resident := h.syn.Locate(se, paSub)
+	loc, resident := h.locate(se, paSub)
 	switch {
 	case se.Buffer:
 		// The modified copy sits in the write buffer (often it was the very
@@ -379,14 +376,14 @@ func (h *VR) fill(ci int, ref trace.Ref, kind statsKind, la addr.VAddr, paKnown 
 		vc.Install(fset, fway, la, ref.PID, rp, true, e.Token)
 		se.Inclusion = true
 		se.VPtr = rcache.VPtr{Cache: ci, Set: fset, Way: fway}
-		h.syn.Installed(paSub, se.VPtr)
+		h.rltInsert(paSub, se.VPtr)
 		syn = SynBuffered
 	case resident:
 		old := loc
 		if old.Cache == ci && old.Set == fset {
 			// Same set: retag the existing line in place; the slot freed in
 			// step 1 stays free. The copy's location is unchanged, so the
-			// strategy needs no notification.
+			// reverse-lookup table needs no update.
 			vc.Retag(old.Set, old.Way, la, ref.PID)
 			fset, fway = old.Set, old.Way
 			syn = SynSameSet
@@ -399,7 +396,7 @@ func (h *VR) fill(ci int, ref trace.Ref, kind statsKind, la addr.VAddr, paKnown 
 			src.Invalidate(old.Set, old.Way)
 			vc.Install(fset, fway, la, ref.PID, rp, dirty, token)
 			se.VPtr = rcache.VPtr{Cache: ci, Set: fset, Way: fway}
-			h.syn.Installed(paSub, se.VPtr)
+			h.rltInsert(paSub, se.VPtr)
 			if old.Cache != ci {
 				syn = SynCross
 			} else {
@@ -410,7 +407,7 @@ func (h *VR) fill(ci int, ref trace.Ref, kind statsKind, la addr.VAddr, paKnown 
 		vc.Install(fset, fway, la, ref.PID, rp, false, se.Token)
 		se.Inclusion = true
 		se.VPtr = rcache.VPtr{Cache: ci, Set: fset, Way: fway}
-		h.syn.Installed(paSub, se.VPtr)
+		h.rltInsert(paSub, se.VPtr)
 		if vic.Present && vic.RPtr == rp {
 			// The clean victim evicted in step 1 was the synonym itself
 			// (the common direct-mapped sameset case): the R-cache just
@@ -531,7 +528,7 @@ func (h *VR) evictRVictim(vic rcache.Victim) {
 				h.cy.BusWrite()
 			}
 			child.Invalidate(se.VPtr.Set, se.VPtr.Way)
-			h.syn.Invalidated(subAddr)
+			h.rltRemove(subAddr)
 			h.st.InclusionInvals++
 			h.st.Coherence.Record(stats.MsgInclusionInvalidate)
 			h.emit(probe.EvInclusionInval, 0, 0, subAddr, 0)
@@ -615,7 +612,7 @@ func (h *VR) contextSwitch(newPID addr.PID) {
 			se.Inclusion = false
 			se.VPtr = rcache.VPtr{}
 			vc.Invalidate(set, way)
-			h.syn.Invalidated(subAddr)
+			h.rltRemove(subAddr)
 		})
 	}
 }

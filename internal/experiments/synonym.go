@@ -12,8 +12,8 @@ import (
 )
 
 // SynonymStrategy compares the paper's synonym mechanism against the two
-// alternatives behind the core.SynonymStrategy seam, on the paper's main
-// machine (16K/256K direct-mapped, pops). The three strategies resolve the
+// optional components of the V-R controller that change it (DESIGN.md §18),
+// on the paper's main machine (16K/256K direct-mapped, pops). The three strategies resolve the
 // same synonyms — the differential harness proves data behaviour is
 // identical — so the table isolates what each one costs and buys:
 //

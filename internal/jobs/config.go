@@ -392,8 +392,8 @@ type machine struct {
 
 // build resolves the spec to a system.Config: zero fields take the paper
 // defaults, cpus and pageSize come from the workload, and
-// system.Config.Validate decides legality. The default label has the form
-// of an autotune candidate's.
+// system.Config.Validate decides legality. The default label is
+// autotune.Label's.
 func (m *MachineSpec) build(field string, cpus int, pageSize uint64) (machine, error) {
 	orgName, polName := orDefault(m.Org, "vr"), orDefault(m.Policy, "lru")
 	org, writeThrough, err := system.ParseOrganization(orgName)
@@ -431,17 +431,7 @@ func (m *MachineSpec) build(field string, cpus int, pageSize uint64) (machine, e
 	}
 	label := m.Label
 	if label == "" {
-		label = fmt.Sprintf("%s/%s/L1=%s/L2=%s/wb=%d/tlb=%dx%d",
-			orgName, polName, cfg.L1, cfg.L2, cfg.WriteBufDepth, cfg.TLBEntries, cfg.TLBAssoc)
-		if m.Victim != 0 {
-			label += fmt.Sprintf("/vc=%d", m.Victim)
-		}
-		if m.RLTEntries != 0 {
-			label += fmt.Sprintf("/rlt=%d", m.RLTEntries)
-		}
-		if m.Split {
-			label += "/split"
-		}
+		label = autotune.Label(orgName, polName, cfg)
 	}
 	return machine{label: label, cfg: cfg}, nil
 }

@@ -664,8 +664,16 @@ func (m *Manager) recover() error {
 		case StateQueued, StateRunning:
 			if _, err := os.Stat(m.reportPath(sf.ID)); err == nil {
 				// Crash window between report write and spec write: the
-				// report exists, so the job is done.
+				// report exists, so the job is done. The checkpoint goes
+				// first, so a crash before the spec says done lands here
+				// again.
+				os.Remove(m.checkpointPath(j.id))
 				j.state = StateDone
+				if err := m.persist(j); err != nil {
+					return err
+				}
+				m.stats.Done++
+				m.log.Info("job finished", "job", j.id, "state", j.state)
 			} else if invalid != nil {
 				j.state, j.errMsg = StateFailed, fmt.Sprintf("spec no longer validates: %v", invalid)
 				if err := m.persist(j); err != nil {

@@ -9,6 +9,7 @@ package jobs_test
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
@@ -370,6 +371,52 @@ func TestRestartStaleSpecs(t *testing.T) {
 		}
 		if got, want := m.Counters().Failed, uint64(1-life); got != want {
 			t.Errorf("lifetime %d: %d failures counted, want %d", life, got, want)
+		}
+		if err := m.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestRestartFinishesReportedJob: a daemon that crashed after writing a
+// job's report but before persisting its spec leaves a running spec, the
+// report and the job's checkpoint. The next daemon finishes the job: the
+// spec on disk says done, the checkpoint is gone and the job counts once;
+// a later daemon reads that back and counts nothing.
+func TestRestartFinishesReportedJob(t *testing.T) {
+	dir := t.TempDir()
+	files := map[string]string{
+		"j000001.spec.json":   `{"id":"j000001","seq":1,"state":"running","submitted":"2026-01-02T03:04:05Z","config":{"kind":"run","preset":"pops","scale":0.01}}`,
+		"j000001.report.json": `{"workload":"pops"}`,
+		"j000001.ck":          "checkpoint",
+	}
+	for name, data := range files {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(data), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for life := 0; life < 2; life++ {
+		m, err := jobs.Open(managerOptions(dir))
+		if err != nil {
+			t.Fatalf("lifetime %d: %v", life, err)
+		}
+		if st, _ := m.Get("j000001"); st.State != jobs.StateDone {
+			t.Errorf("lifetime %d: reported job is %s, want done", life, st.State)
+		}
+		var spec struct{ State string }
+		if data, err := os.ReadFile(filepath.Join(dir, "j000001.spec.json")); err != nil {
+			t.Errorf("lifetime %d: %v", life, err)
+		} else if err := json.Unmarshal(data, &spec); err != nil || spec.State != jobs.StateDone {
+			t.Errorf("lifetime %d: spec on disk says %q (%v), want done", life, spec.State, err)
+		}
+		if _, err := os.Stat(filepath.Join(dir, "j000001.ck")); !errors.Is(err, os.ErrNotExist) {
+			t.Errorf("lifetime %d: checkpoint still on disk (%v)", life, err)
+		}
+		if report, err := m.Report("j000001"); err != nil || string(report) != files["j000001.report.json"] {
+			t.Errorf("lifetime %d: report %q, %v", life, report, err)
+		}
+		if got, want := m.Counters().Done, uint64(1-life); got != want {
+			t.Errorf("lifetime %d: %d jobs counted done, want %d", life, got, want)
 		}
 		if err := m.Close(); err != nil {
 			t.Fatal(err)

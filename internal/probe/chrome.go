@@ -1,9 +1,8 @@
 package probe
 
 import (
-	"bufio"
-	"encoding/json"
 	"io"
+	"strconv"
 )
 
 // ChromeTrace is a Sink that writes the event stream in the Chrome
@@ -15,23 +14,18 @@ import (
 // durations from the paper's default latency scaling (t1=1, t2=4, tm=20),
 // everything else is an instant.
 type ChromeTrace struct {
-	w      *bufio.Writer
-	closer io.Closer // closed with the sink when the caller handed us ownership
-	n      int       // records written, including metadata
-	events int       // probe events written
-	err    error
+	out    *JSONStream
+	events int // probe events written
 	named  map[int]bool
 }
 
 // NewChromeTrace creates an exporter writing to w. If w is also an
 // io.Closer (e.g. an *os.File), Close closes it after the footer.
 func NewChromeTrace(w io.Writer) *ChromeTrace {
-	c := &ChromeTrace{w: bufio.NewWriter(w), named: make(map[int]bool)}
-	if cl, ok := w.(io.Closer); ok {
-		c.closer = cl
+	return &ChromeTrace{
+		out:   NewJSONStream(w, `{"displayTimeUnit":"ms","traceEvents":[`, "]}\n"),
+		named: make(map[int]bool),
 	}
-	c.raw(`{"displayTimeUnit":"ms","traceEvents":[`)
-	return c
 }
 
 // chromeEvent is one trace_event record.
@@ -88,14 +82,14 @@ func durOf(k Kind) uint64 {
 
 // Event implements Sink.
 func (c *ChromeTrace) Event(ev Event) {
-	if c.err != nil {
+	if c.out.Err() != nil {
 		return
 	}
 	if !c.named[ev.CPU] {
 		c.named[ev.CPU] = true
-		c.record(chromeEvent{
+		c.out.Record(chromeEvent{
 			Name: "process_name", Ph: "M", PID: ev.CPU,
-			Args: map[string]any{"name": processName(ev.CPU)},
+			Args: map[string]any{"name": "cpu" + strconv.Itoa(ev.CPU)},
 		})
 	}
 	ce := chromeEvent{
@@ -124,58 +118,8 @@ func (c *ChromeTrace) Event(ev Event) {
 		}
 	}
 	ce.Args = args
-	c.record(ce)
+	c.out.Record(ce)
 	c.events++
-}
-
-func processName(id int) string {
-	return "cpu" + itoa(id)
-}
-
-// itoa avoids pulling strconv into the hot path for small ids.
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var buf [20]byte
-	i := len(buf)
-	neg := n < 0
-	if neg {
-		n = -n
-	}
-	for n > 0 {
-		i--
-		buf[i] = byte('0' + n%10)
-		n /= 10
-	}
-	if neg {
-		i--
-		buf[i] = '-'
-	}
-	return string(buf[i:])
-}
-
-func (c *ChromeTrace) record(ce chromeEvent) {
-	b, err := json.Marshal(ce)
-	if err != nil {
-		c.err = err
-		return
-	}
-	if c.n > 0 {
-		c.raw(",\n")
-	}
-	c.n++
-	if _, err := c.w.Write(b); err != nil {
-		c.err = err
-	}
-}
-
-func (c *ChromeTrace) raw(s string) {
-	if c.err == nil {
-		if _, err := c.w.WriteString(s); err != nil {
-			c.err = err
-		}
-	}
 }
 
 // Events returns the number of probe events written so far (excluding
@@ -184,15 +128,4 @@ func (c *ChromeTrace) Events() int { return c.events }
 
 // Close writes the JSON footer and flushes (closing the underlying writer
 // when it is closable).
-func (c *ChromeTrace) Close() error {
-	c.raw("]}\n")
-	if err := c.w.Flush(); err != nil && c.err == nil {
-		c.err = err
-	}
-	if c.closer != nil {
-		if err := c.closer.Close(); err != nil && c.err == nil {
-			c.err = err
-		}
-	}
-	return c.err
-}
+func (c *ChromeTrace) Close() error { return c.out.Close() }

@@ -44,6 +44,44 @@ func (m Mechanism) String() string {
 	return fmt.Sprintf("Mechanism(%d)", int(m))
 }
 
+// serviceLevel returns the level that an access event of kind k says will
+// satisfy its CPU's in-flight reference (1: first level, 2: second level,
+// 3: memory), or 0 for a kind that says nothing about it.
+func serviceLevel(k probe.Kind) int {
+	switch k {
+	case probe.EvL1Hit:
+		return 1
+	case probe.EvL1Miss, probe.EvL2Hit:
+		return 2
+	case probe.EvL2Miss:
+		return 3
+	}
+	return 0
+}
+
+// mechanismOf returns the mechanism a timing charge of kind k (a kind whose
+// IsTiming holds) belongs to. The service charge splits by level, the
+// serviceLevel of the charging CPU's in-flight reference.
+func mechanismOf(k probe.Kind, level int) Mechanism {
+	switch k {
+	case probe.EvTimeTLBMiss:
+		return MechTLBMiss
+	case probe.EvTimeBusWait:
+		return MechBusWait
+	case probe.EvTimeWBStall:
+		return MechWBStall
+	case probe.EvTimeCtxSwitch:
+		return MechCtxSwitch
+	}
+	switch level {
+	case 3:
+		return MechMemoryService
+	case 2:
+		return MechL2Service
+	}
+	return MechL1Service
+}
+
 // AttrConfig configures the attribution profiler.
 type AttrConfig struct {
 	// TopK sizes each heavy-hitter sketch (0 = DefaultAttrTopK).
@@ -120,17 +158,22 @@ func (a *Attribution) page(va, pa uint64) uint64 {
 // Event implements probe.Sink.
 func (a *Attribution) Event(ev probe.Event) {
 	c := a.cpuFor(ev.CPU)
+	if l := serviceLevel(ev.Kind); l > 0 {
+		c.level = l
+	}
+	if ev.Kind.IsTiming() {
+		c.blame[mechanismOf(ev.Kind, c.level)] += ev.Aux
+		if ev.Kind == probe.EvTimeAccess {
+			c.refs++
+			c.level = 1
+		}
+		return
+	}
 	switch ev.Kind {
-	case probe.EvL1Hit:
-		c.level = 1
 	case probe.EvL1Miss:
-		c.level = 2
 		c.l1Misses++
 		a.pagesMiss.Add(uint64(ev.VA)/a.cfg.PageSize, 1)
-	case probe.EvL2Hit:
-		c.level = 2
 	case probe.EvL2Miss:
-		c.level = 3
 		c.l2Misses++
 		if a.cfg.L2Sets > 0 {
 			a.setsMiss.Add(uint64(ev.PA)/a.cfg.L2Block%uint64(a.cfg.L2Sets), 1)
@@ -138,25 +181,6 @@ func (a *Attribution) Event(ev probe.Event) {
 	case probe.EvSynSameSet, probe.EvSynMove, probe.EvSynCross, probe.EvSynBuffered:
 		c.synonyms++
 		a.pagesSyn.Add(a.page(uint64(ev.VA), uint64(ev.PA)), 1)
-	case probe.EvTimeAccess:
-		switch c.level {
-		case 3:
-			c.blame[MechMemoryService] += ev.Aux
-		case 2:
-			c.blame[MechL2Service] += ev.Aux
-		default:
-			c.blame[MechL1Service] += ev.Aux
-		}
-		c.refs++
-		c.level = 1
-	case probe.EvTimeTLBMiss:
-		c.blame[MechTLBMiss] += ev.Aux
-	case probe.EvTimeBusWait:
-		c.blame[MechBusWait] += ev.Aux
-	case probe.EvTimeWBStall:
-		c.blame[MechWBStall] += ev.Aux
-	case probe.EvTimeCtxSwitch:
-		c.blame[MechCtxSwitch] += ev.Aux
 	}
 }
 
@@ -267,10 +291,10 @@ func (a *Attribution) Reconcile(eng *cycles.Engine) error {
 			want uint64
 		}{
 			{"service (l1+l2+memory)", service, at.Access},
-			{"tlb-miss", c.blame[MechTLBMiss], at.TLB},
-			{"bus-wait", c.blame[MechBusWait], at.BusWait},
-			{"wb-stall", c.blame[MechWBStall], at.Stall},
-			{"ctx-switch", c.blame[MechCtxSwitch], at.Ctx},
+			{MechTLBMiss.String(), c.blame[MechTLBMiss], at.TLB},
+			{MechBusWait.String(), c.blame[MechBusWait], at.BusWait},
+			{MechWBStall.String(), c.blame[MechWBStall], at.Stall},
+			{MechCtxSwitch.String(), c.blame[MechCtxSwitch], at.Ctx},
 			{"clock", service + c.blame[MechTLBMiss] + c.blame[MechBusWait] +
 				c.blame[MechWBStall] + c.blame[MechCtxSwitch], at.Clock},
 			{"refs", c.refs, at.Refs},

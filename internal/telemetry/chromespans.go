@@ -1,10 +1,10 @@
 package telemetry
 
 import (
-	"bufio"
-	"encoding/json"
 	"fmt"
 	"io"
+
+	"repro/internal/probe"
 )
 
 // ChromeSpanWriter exports span trees in the Chrome trace_event format
@@ -14,21 +14,13 @@ import (
 // the service interval visually contains its bus wait and the synonym
 // resolutions it triggered. Zero-width spans become instant ("i") events.
 type ChromeSpanWriter struct {
-	w      *bufio.Writer
-	closer io.Closer
-	n      int
-	err    error
+	out *probe.JSONStream
 }
 
 // NewChromeSpanWriter creates an exporter writing one JSON trace document
 // to w. If w is also an io.Closer (e.g. an *os.File), Close closes it.
 func NewChromeSpanWriter(w io.Writer) *ChromeSpanWriter {
-	c := &ChromeSpanWriter{w: bufio.NewWriter(w)}
-	if cl, ok := w.(io.Closer); ok {
-		c.closer = cl
-	}
-	c.raw(`{"displayTimeUnit":"ns","traceEvents":[`)
-	return c
+	return &ChromeSpanWriter{out: probe.NewJSONStream(w, `{"displayTimeUnit":"ns","traceEvents":[`, "]}\n")}
 }
 
 // chromeSpanEvent is one trace_event record.
@@ -68,54 +60,18 @@ func (c *ChromeSpanWriter) ExportSpan(root *Span) error {
 		} else {
 			ev.Phase, ev.Scope = "i", "t"
 		}
-		c.record(ev)
+		c.out.Record(ev)
 		for _, child := range sp.Children {
 			rec(child, depth+1)
 		}
 	}
 	rec(root, 0)
-	return c.err
-}
-
-func (c *ChromeSpanWriter) record(ev chromeSpanEvent) {
-	b, err := json.Marshal(ev)
-	if err != nil {
-		if c.err == nil {
-			c.err = err
-		}
-		return
-	}
-	if c.n > 0 {
-		c.raw(",\n")
-	}
-	c.n++
-	if _, err := c.w.Write(b); err != nil && c.err == nil {
-		c.err = err
-	}
-}
-
-func (c *ChromeSpanWriter) raw(s string) {
-	if c.err == nil {
-		if _, err := c.w.WriteString(s); err != nil {
-			c.err = err
-		}
-	}
+	return c.out.Err()
 }
 
 // Events returns the number of trace records written.
-func (c *ChromeSpanWriter) Events() int { return c.n }
+func (c *ChromeSpanWriter) Events() int { return c.out.Records() }
 
 // Close writes the footer and flushes (closing the underlying writer when
 // it is closable).
-func (c *ChromeSpanWriter) Close() error {
-	c.raw("]}\n")
-	if err := c.w.Flush(); err != nil && c.err == nil {
-		c.err = err
-	}
-	if c.closer != nil {
-		if err := c.closer.Close(); err != nil && c.err == nil {
-			c.err = err
-		}
-	}
-	return c.err
-}
+func (c *ChromeSpanWriter) Close() error { return c.out.Close() }

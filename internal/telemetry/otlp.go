@@ -1,10 +1,11 @@
 package telemetry
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
+
+	"repro/internal/probe"
 )
 
 // OTLPWriter exports span trees as a single OTLP-style (OpenTelemetry
@@ -14,11 +15,8 @@ import (
 // (one cycle = one nanosecond), encoded as decimal strings per the OTLP
 // JSON mapping, so standard trace tooling renders the trees unmodified.
 type OTLPWriter struct {
-	w      *bufio.Writer
-	closer io.Closer
-	n      int
+	out    *probe.JSONStream
 	spanID uint64
-	err    error
 }
 
 // NewOTLPWriter creates an exporter writing one OTLP JSON document to w. If
@@ -32,18 +30,15 @@ func NewOTLPWriter(w io.Writer) *OTLPWriter {
 // service name (the job daemon exports as "vrsimd" so its traces are
 // distinguishable from in-process vrsim runs).
 func NewOTLPWriterService(w io.Writer, service string) *OTLPWriter {
-	o := &OTLPWriter{w: bufio.NewWriter(w)}
-	if cl, ok := w.(io.Closer); ok {
-		o.closer = cl
-	}
 	svc, err := json.Marshal(service)
 	if err != nil {
 		svc = []byte(`"vrsim"`)
 	}
-	o.raw(`{"resourceSpans":[{"resource":{"attributes":[` +
-		`{"key":"service.name","value":{"stringValue":` + string(svc) + `}}]},` +
-		`"scopeSpans":[{"scope":{"name":"repro/internal/telemetry"},"spans":[`)
-	return o
+	return &OTLPWriter{out: probe.NewJSONStream(w,
+		`{"resourceSpans":[{"resource":{"attributes":[`+
+			`{"key":"service.name","value":{"stringValue":`+string(svc)+`}}]},`+
+			`"scopeSpans":[{"scope":{"name":"repro/internal/telemetry"},"spans":[`,
+		"]}]}]}\n")}
 }
 
 // otlpSpan is one span record in the OTLP JSON file encoding.
@@ -115,50 +110,14 @@ func (o *OTLPWriter) ExportSpanTrace(traceID string, root *Span) error {
 		if sp.PA != 0 {
 			rec.Attributes = append(rec.Attributes, kvStr("vrsim.pa", fmt.Sprintf("%#x", sp.PA)))
 		}
-		o.record(rec)
+		o.out.Record(rec)
 	})
-	return o.err
-}
-
-func (o *OTLPWriter) record(rec otlpSpan) {
-	b, err := json.Marshal(rec)
-	if err != nil {
-		if o.err == nil {
-			o.err = err
-		}
-		return
-	}
-	if o.n > 0 {
-		o.raw(",\n")
-	}
-	o.n++
-	if _, err := o.w.Write(b); err != nil && o.err == nil {
-		o.err = err
-	}
-}
-
-func (o *OTLPWriter) raw(s string) {
-	if o.err == nil {
-		if _, err := o.w.WriteString(s); err != nil {
-			o.err = err
-		}
-	}
+	return o.out.Err()
 }
 
 // Spans returns the number of span records written.
-func (o *OTLPWriter) Spans() int { return o.n }
+func (o *OTLPWriter) Spans() int { return o.out.Records() }
 
 // Close writes the footer and flushes (closing the underlying writer when
 // it is closable).
-func (o *OTLPWriter) Close() error {
-	o.raw("]}]}]}\n")
-	if err := o.w.Flush(); err != nil && o.err == nil {
-		o.err = err
-	}
-	if o.closer != nil {
-		if err := o.closer.Close(); err != nil && o.err == nil {
-			o.err = err
-		}
-	}
-	return o.err
-}
+func (o *OTLPWriter) Close() error { return o.out.Close() }

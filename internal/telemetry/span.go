@@ -145,17 +145,17 @@ func (t *Tracer) finish() {
 	}
 }
 
-// mechanismOf labels the service span by the level that satisfied the
-// reference, tracked from the access events preceding the charge.
-func mechanismOf(level int) string {
-	switch level {
-	case 3:
-		return "memory-service"
-	case 2:
-		return "l2-service"
-	default:
-		return "l1-service"
+// nestsUnderService reports whether a marker of kind k on the issuing CPU
+// belongs under the next service interval: second-level lookups, synonym
+// resolutions or data supply, and bus transactions.
+func nestsUnderService(k probe.Kind) bool {
+	switch k {
+	case probe.EvL2Hit, probe.EvL2Miss,
+		probe.EvSynSameSet, probe.EvSynMove, probe.EvSynCross, probe.EvSynBuffered, probe.EvDataSupply,
+		probe.EvBusRead, probe.EvBusReadMod, probe.EvBusInvalidate, probe.EvBusUpdate:
+		return true
 	}
+	return false
 }
 
 // buildTree assembles the causal tree from the buffered events. The primary
@@ -199,98 +199,46 @@ func (t *Tracer) buildTree() *Span {
 
 	level := 1
 	var pendingL2 []*Span // markers that belong under the next service span
-	addMarker := func(te tracedEvent, toService bool) *Span {
-		m := &Span{
-			Name: te.ev.Kind.String(), CPU: te.ev.CPU, Ref: te.ev.Ref,
-			Start: te.clock, End: te.clock,
-			VA: uint64(te.ev.VA), PA: uint64(te.ev.PA),
-		}
-		if te.ev.CPU != primary {
-			m.Name = fmt.Sprintf("cpu%d %s", te.ev.CPU, te.ev.Kind)
-			root.Children = append(root.Children, m)
-			return m
-		}
-		if toService {
-			pendingL2 = append(pendingL2, m)
-		} else {
-			root.Children = append(root.Children, m)
-		}
-		return m
-	}
-	interval := func(te tracedEvent, name, mech string) *Span {
-		sp := &Span{
-			Name: name, Mechanism: mech, CPU: te.ev.CPU, Ref: te.ev.Ref,
-			Start: te.clock, End: te.clock + te.ev.Aux,
-		}
-		root.Children = append(root.Children, sp)
-		return sp
-	}
-
 	for _, te := range t.buf {
 		ev := te.ev
 		onPrimary := ev.CPU == primary
-		switch ev.Kind {
-		case probe.EvL1Hit:
-			if onPrimary {
+		if onPrimary && ev.Kind.IsTiming() {
+			// A charge is an interval named after its mechanism; the
+			// service charge takes the markers pending since the last one.
+			mech := mechanismOf(ev.Kind, level)
+			sp := &Span{
+				Name: mech.String(), Mechanism: mech.String(), CPU: ev.CPU, Ref: ev.Ref,
+				Start: te.clock, End: te.clock + ev.Aux,
+			}
+			switch mech {
+			case MechTLBMiss:
+				sp.Name = "tlb-miss-walk"
+			case MechCtxSwitch:
+				sp.Name = "ctx-flush"
+			}
+			if ev.Kind == probe.EvTimeAccess {
+				sp.Children, pendingL2 = pendingL2, nil
 				level = 1
 			}
-			addMarker(te, false)
-		case probe.EvL1Miss:
-			if onPrimary {
-				level = 2
-			}
-			addMarker(te, false)
-		case probe.EvL2Hit:
-			if onPrimary {
-				level = 2
-			}
-			addMarker(te, true)
-		case probe.EvL2Miss:
-			if onPrimary {
-				level = 3
-			}
-			addMarker(te, true)
-		case probe.EvSynSameSet, probe.EvSynMove, probe.EvSynCross, probe.EvSynBuffered,
-			probe.EvDataSupply:
-			addMarker(te, onPrimary)
-		case probe.EvBusRead, probe.EvBusReadMod, probe.EvBusInvalidate, probe.EvBusUpdate:
-			addMarker(te, onPrimary)
-		case probe.EvTimeBusWait:
-			if onPrimary {
-				interval(te, "bus-wait", "bus-wait")
-			} else {
-				addMarker(te, false)
-			}
-		case probe.EvTimeTLBMiss:
-			if onPrimary {
-				interval(te, "tlb-miss-walk", "tlb-miss")
-			} else {
-				addMarker(te, false)
-			}
-		case probe.EvTimeWBStall:
-			if onPrimary {
-				interval(te, "wb-stall", "wb-stall")
-			} else {
-				addMarker(te, false)
-			}
-		case probe.EvTimeCtxSwitch:
-			if onPrimary {
-				interval(te, "ctx-flush", "ctx-switch")
-			} else {
-				addMarker(te, false)
-			}
-		case probe.EvTimeAccess:
-			if !onPrimary {
-				addMarker(te, false)
-				continue
-			}
-			mech := mechanismOf(level)
-			sp := interval(te, mech, mech)
-			sp.Children = append(sp.Children, pendingL2...)
-			pendingL2 = nil
-			level = 1
+			root.Children = append(root.Children, sp)
+			continue
+		}
+		m := &Span{
+			Name: ev.Kind.String(), CPU: ev.CPU, Ref: ev.Ref,
+			Start: te.clock, End: te.clock,
+			VA: uint64(ev.VA), PA: uint64(ev.PA),
+		}
+		switch {
+		case !onPrimary:
+			m.Name = fmt.Sprintf("cpu%d %s", ev.CPU, ev.Kind)
+			root.Children = append(root.Children, m)
+		case nestsUnderService(ev.Kind):
+			pendingL2 = append(pendingL2, m)
 		default:
-			addMarker(te, false)
+			root.Children = append(root.Children, m)
+		}
+		if l := serviceLevel(ev.Kind); l > 0 && onPrimary {
+			level = l
 		}
 	}
 	// Markers that never found a service span (e.g. an L2 drain after the
